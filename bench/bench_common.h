@@ -7,7 +7,7 @@
 //   --seed=<uint64>     dataset RNG seed
 //   --mu=<double>       edge-weight parameter (paper App. D, default 10)
 //   --t=<int>           time horizon (paper default 20)
-//   --threads=<int>     RS sketch-builder threads (1 = legacy serial stream,
+//   --threads=<int>     RS sketch-builder threads (1 = inline,
 //                       0 = one per hardware thread)
 //   --csv               emit CSV instead of an aligned table
 // and prints the same rows/series the corresponding paper exhibit reports.

@@ -122,7 +122,7 @@ int main(int argc, char** argv) {
                 std::to_string(k) + ")",
        table);
 
-  // --- Sketch engine scaling: serial stream vs sharded parallel builder ---
+  // --- Sketch engine scaling: the sharded builder across thread counts ---
   // Times BuildSketchSet on the full bench graph at several thread counts.
   //   --sketch_bench=0       skip this section
   //   --sketch_theta=<int>   walks per build (default 2^19)
@@ -149,12 +149,6 @@ int main(int argc, char** argv) {
                 << ", \"walks_per_sec\": " << rate << "}";
     };
 
-    {
-      Rng sketch_rng(7);
-      WallTimer timer;
-      auto walks = core::BuildSketchSet(ev, theta, &sketch_rng);
-      record("serial", 1, timer.Seconds());
-    }
     for (const int64_t threads : thread_counts) {
       core::SketchBuildOptions build_options;
       build_options.num_threads = static_cast<uint32_t>(threads);
@@ -163,7 +157,7 @@ int main(int argc, char** argv) {
                                         build_options);
       record("sharded", static_cast<uint32_t>(threads), timer.Seconds());
     }
-    Emit(env, "Sketch engine: serial vs sharded walk generation (theta=" +
+    Emit(env, "Sketch engine: sharded walk generation (theta=" +
                   std::to_string(theta) + ")",
          sketch_table);
 

@@ -1,6 +1,6 @@
 // Serve-layer benchmark: throughput and latency of the concurrent
-// api::Engine (the dispatch path behind CampaignService and the wire
-// protocol) at 1..N worker threads over one hosted dataset.
+// api::Engine (the dispatch path behind the wire protocol and every
+// embedded caller) at 1..N worker threads over one hosted dataset.
 //
 // An offline pass builds + persists the sketch once; each measured
 // configuration then opens a fresh engine over the persisted store (mmap)
@@ -450,7 +450,7 @@ int main(int argc, char** argv) {
               row.answers_match ? "yes" : "NO");
   }
   Emit(env,
-       "Serve: concurrent CampaignService throughput/latency (theta=" +
+       "Serve: concurrent api::Engine throughput/latency (theta=" +
            std::to_string(theta) + ", " + std::to_string(queries) +
            " queries, k=" + std::to_string(k) + ", offline build " +
            Table::Num(build_sec, 2) + " s)",

@@ -174,12 +174,6 @@ void Engine::AttachTrace(const obs::Trace& trace, Response* response) {
     if (name == "estimated_score") continue;  // already a response field
     merged["work." + name] = value;
   }
-  // gain_evaluations predates the work. schema (PR 4); the bare spelling
-  // stays as an alias for one protocol version (see docs/PROTOCOL.md).
-  if (auto legacy = response->diagnostics.find("gain_evaluations");
-      legacy != response->diagnostics.end()) {
-    merged["gain_evaluations"] = legacy->second;
-  }
   for (const auto& [name, value] : trace.entries()) merged[name] += value;
   response->diagnostics = std::move(merged);
   response->traced = true;

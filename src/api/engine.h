@@ -1,6 +1,6 @@
 // api::Engine: the single query-dispatch component. Every front door —
-// the JSON wire protocol (serve::CampaignService is a thin transport shim),
-// the voteopt_serve CLI, the examples, and the bench drivers — funnels
+// the JSON wire protocol (net::Server and the serve/ codec), the
+// voteopt_serve CLI, the examples, and the bench drivers — funnels
 // typed api::Requests into Engine::Execute, so an embedded C++ answer and
 // a served answer are the same bytes by construction, not by parallel
 // maintenance of two code paths.
@@ -185,8 +185,7 @@ class Engine {
                    obs::Trace* trace);
 
   /// Folds the trace into the response's diagnostics and flags it for
-  /// serialization; promotes selector work counts into the `work.` schema
-  /// (keeping `gain_evaluations` as its one-version legacy alias).
+  /// serialization; promotes selector work counts into the `work.` schema.
   static void AttachTrace(const obs::Trace& trace, Response* response);
 
   EngineOptions options_;

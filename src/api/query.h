@@ -289,8 +289,7 @@ struct Response {
   uint64_t walks_total = 0;      // sketch size (theta), for rates
 
   /// Selection diagnostics of the answering algorithm: stage timings
-  /// (`stage.<name>_ms`) and work counts (`work.<name>`, plus the legacy
-  /// `gain_evaluations` alias of `work.gain_evaluations`). Serialized on
+  /// (`stage.<name>_ms`) and work counts (`work.<name>`). Serialized on
   /// the wire only when the request set `trace` (v3) — ToStableJson
   /// strips them, so traced answers stay bit-identical to untraced ones.
   std::map<std::string, double> diagnostics;

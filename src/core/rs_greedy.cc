@@ -36,14 +36,9 @@ SelectionResult RSGreedySelect(const ScoreEvaluator& evaluator, uint32_t k,
     theta = std::clamp<uint64_t>(theta, 1, options.theta_cap);
   }
 
-  // Every thread count goes through the sharded fixed-block builder: its
-  // output is a pure function of (master_seed, theta, block_size), so the
-  // sketch — and with it the selected seeds — is identical whether the
-  // blocks are generated inline or on a pool. (A previous num_threads == 1
-  // special case used the legacy serial stream instead, which drew walks
-  // from a different RNG sequence and made --threads=1 answers diverge
-  // from --threads=N; tests/core_sketch_parallel_test.cc pins the
-  // invariance.)
+  // The sketch is a pure function of (master_seed, theta), so the selected
+  // seeds are identical for every thread count
+  // (tests/core_sketch_parallel_test.cc pins the invariance).
   SketchBuildOptions build_options;
   build_options.num_threads = options.num_threads;
   std::unique_ptr<WalkSet> walks =

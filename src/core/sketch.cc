@@ -10,30 +10,19 @@
 
 namespace voteopt::core {
 
+namespace {
+
+// The θ-search sketches below are built on the calling thread; the thread
+// count never changes a sketch.
+constexpr SketchBuildOptions kInline{.num_threads = 1};
+
+}  // namespace
+
 void ApplySketchWeights(WalkSet* walks, uint32_t n, uint64_t theta) {
   const double scale = static_cast<double>(n) / static_cast<double>(theta);
   for (graph::NodeId v = 0; v < n; ++v) {
     walks->SetStartWeight(v, scale * static_cast<double>(walks->Lambda(v)));
   }
-}
-
-std::unique_ptr<WalkSet> BuildSketchSet(const ScoreEvaluator& evaluator,
-                                        uint64_t theta, Rng* rng) {
-  const graph::Graph& g = evaluator.model().graph();
-  const uint32_t n = g.num_nodes();
-  graph::AliasSampler alias(g);
-  WalkEngine engine(g, evaluator.target_campaign(), alias);
-
-  auto walks = std::make_unique<WalkSet>(n);
-  std::vector<graph::NodeId> scratch;
-  for (uint64_t j = 0; j < theta; ++j) {
-    const graph::NodeId start = static_cast<graph::NodeId>(rng->UniformInt(n));
-    engine.Generate(start, evaluator.horizon(), rng, &scratch);
-    walks->AddWalk(scratch);
-  }
-  walks->Finalize(evaluator.target_campaign().initial_opinions);
-  ApplySketchWeights(walks.get(), n, theta);
-  return walks;
 }
 
 std::unique_ptr<WalkSet> BuildSketchSet(const ScoreEvaluator& evaluator,
@@ -45,12 +34,12 @@ std::unique_ptr<WalkSet> BuildSketchSet(const ScoreEvaluator& evaluator,
   const WalkEngine engine(g, evaluator.target_campaign(), alias);
   const uint32_t horizon = evaluator.horizon();
 
-  const uint64_t block_size = std::max<uint64_t>(1, options.block_size);
-  const uint64_t num_blocks = (theta + block_size - 1) / block_size;
+  const uint64_t num_blocks =
+      (theta + kSketchBlockWalks - 1) / kSketchBlockWalks;
   std::vector<WalkBuffer> buffers(num_blocks);
   auto run_block = [&](uint64_t b) {
-    const uint64_t begin = b * block_size;
-    const uint64_t count = std::min(block_size, theta - begin);
+    const uint64_t begin = b * kSketchBlockWalks;
+    const uint64_t count = std::min(kSketchBlockWalks, theta - begin);
     buffers[b].nodes.reserve(count * (horizon / 4 + 1));
     engine.GenerateSeeded(begin, count, horizon, master_seed, &buffers[b]);
   };
@@ -97,7 +86,7 @@ double RefineOptLowerBound(const ScoreEvaluator& evaluator, uint32_t k,
             (2.0 + 2.0 / 3.0 * epsilon) * static_cast<double>(n) *
             std::log(static_cast<double>(n)) / (epsilon * epsilon * x))),
         4ull * n);
-    auto walks = BuildSketchSet(evaluator, theta, rng);
+    auto walks = BuildSketchSet(evaluator, theta, rng->Next(), kInline);
     EstimatedGreedyOptions opts;
     opts.evaluate_exact = false;  // the test uses the estimate only
     SelectionResult est = EstimatedGreedySelect(evaluator, k, walks.get(), opts);
@@ -118,8 +107,7 @@ uint64_t EstimateThetaByConvergence(const ScoreEvaluator& evaluator,
   uint64_t last_stable = 0;
   int stable_rounds = 0;
   while (theta <= theta_cap) {
-    Rng rng(rng_seed);
-    auto walks = BuildSketchSet(evaluator, theta, &rng);
+    auto walks = BuildSketchSet(evaluator, theta, rng_seed, kInline);
     const SelectionResult result =
         EstimatedGreedySelect(evaluator, k, walks.get());
     if (previous >= 0.0) {

@@ -14,41 +14,34 @@
 
 namespace voteopt::core {
 
-/// Builds a sketch set: `theta` walks, each from a uniformly random start
-/// (with replacement). Start weights are set to n * lambda_v / theta so the
-/// estimated scores follow Eq. 35 / 42 / 47.
-std::unique_ptr<WalkSet> BuildSketchSet(const ScoreEvaluator& evaluator,
-                                        uint64_t theta, Rng* rng);
+/// Walks per dispatch unit of the in-memory builder. Scheduling only: walk
+/// j always draws from SketchWalkRng(master_seed, j), so the block size
+/// never changes the output.
+inline constexpr uint64_t kSketchBlockWalks = 8192;
 
-/// Knobs for the sharded sketch builder below.
+/// Knobs for BuildSketchSet.
 struct SketchBuildOptions {
   /// Worker threads: 0 = one per hardware thread, 1 = run inline (no pool).
   uint32_t num_threads = 0;
-  /// Walks per dispatch unit. A pure scheduling knob: walk j always draws
-  /// from SketchWalkRng(master_seed, j), so block size never changes the
-  /// output. Smaller blocks balance load better; larger blocks amortize
-  /// dispatch.
-  uint64_t block_size = 8192;
 };
 
-/// Sharded BuildSketchSet: walk j draws its start and trajectory from its
-/// own per-walk stream SketchWalkRng(master_seed, j) (see walk_engine.h),
-/// walks are generated in block-sized batches on a thread pool, and batches
-/// are merged in walk-index order. The output is therefore a pure function
-/// of (master_seed, theta) — bit-identical across runs, thread counts, AND
-/// block sizes, and bit-identical to the out-of-core block engine
-/// (sketch_ooc/) given the same seed. Estimates follow the same
-/// Eq. 35 / 42 / 47 weighting as the serial builder and agree with it
-/// within the Thm. 13 epsilon bound.
-/// `options` is deliberately not defaulted: a literal-0 seed with a
-/// defaulted options argument would be ambiguous against the Rng* overload.
+/// Builds a sketch set: `theta` walks, each from a uniformly random start
+/// (with replacement). Walk j draws its start and trajectory from its own
+/// per-walk stream SketchWalkRng(master_seed, j) (see walk_engine.h);
+/// walks are generated in kSketchBlockWalks batches on a thread pool and
+/// merged in walk-index order. The output is therefore a pure function of
+/// (master_seed, theta) — bit-identical across runs and thread counts, and
+/// bit-identical to the out-of-core block engine (sketch_ooc/) given the
+/// same seed. Every master_seed, 0 included, is a valid seed. Start weights
+/// are set to n * lambda_v / theta so the estimated scores follow
+/// Eq. 35 / 42 / 47.
 std::unique_ptr<WalkSet> BuildSketchSet(const ScoreEvaluator& evaluator,
                                         uint64_t theta, uint64_t master_seed,
                                         const SketchBuildOptions& options);
 
 /// Eq. 35/42/47 weighting: a start sampled lambda_v times represents
 /// n * lambda_v / theta users. Call after WalkSet::Finalize. Shared by the
-/// in-memory builders above and the out-of-core builder (sketch_ooc/).
+/// in-memory builder above and the out-of-core builder (sketch_ooc/).
 void ApplySketchWeights(WalkSet* walks, uint32_t n, uint64_t theta);
 
 /// Lower bound on OPT for the cumulative score. By monotonicity
@@ -61,14 +54,16 @@ double CumulativeOptLowerBound(const ScoreEvaluator& evaluator, uint32_t k);
 /// hypothesis test referenced by § VI-B (Algorithm 2 of [3]): tests
 /// x = n/2, n/4, ... with progressively larger sketch sets and returns the
 /// largest x for which the greedy estimate certifies OPT >= x, or
-/// `fallback` when no x passes.
+/// `fallback` when no x passes. Each test sketch is built inline with
+/// master seed rng->Next().
 double RefineOptLowerBound(const ScoreEvaluator& evaluator, uint32_t k,
                            double epsilon, double fallback, Rng* rng);
 
 /// § VI-E heuristic for the plurality variants and Copeland: doubles theta
 /// from `theta_start` until the exact score of the RS-selected seed set
 /// changes by less than `tol` (relative) between consecutive doublings, or
-/// until `theta_cap`. Returns the converged theta.
+/// until `theta_cap`. Returns the converged theta. Every round builds inline
+/// with master seed `rng_seed`, so each sketch extends the previous one.
 uint64_t EstimateThetaByConvergence(const ScoreEvaluator& evaluator,
                                     uint32_t k, uint64_t theta_start,
                                     uint64_t theta_cap, double tol,

@@ -22,18 +22,6 @@ void WalkEngine::Generate(graph::NodeId start, uint32_t horizon, Rng* rng,
   Extend(start, horizon, rng, out);
 }
 
-void WalkEngine::GenerateBatch(uint64_t count, uint32_t horizon, Rng* rng,
-                               WalkBuffer* out) const {
-  const uint64_t n = graph_->num_nodes();
-  for (uint64_t j = 0; j < count; ++j) {
-    const auto start = static_cast<graph::NodeId>(rng->UniformInt(n));
-    const size_t before = out->nodes.size();
-    out->nodes.push_back(start);
-    Extend(start, horizon, rng, &out->nodes);
-    out->lengths.push_back(static_cast<uint32_t>(out->nodes.size() - before));
-  }
-}
-
 void WalkEngine::GenerateSeeded(uint64_t first_walk, uint64_t count,
                                 uint32_t horizon, uint64_t master_seed,
                                 WalkBuffer* out) const {

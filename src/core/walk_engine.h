@@ -20,8 +20,9 @@
 
 namespace voteopt::core {
 
-/// The per-walk RNG stream of the sharded (and out-of-core) sketch
-/// builders: walk `walk_index` of a sketch keyed by `master_seed` draws
+/// The one definition of a sketch walk's randomness — shared by the
+/// in-memory and out-of-core builders, dyn repair, and the RS theta search:
+/// walk `walk_index` of a sketch keyed by `master_seed` draws
 /// every random number — its start node and every transition — from
 /// Rng(master_seed + (walk_index + 1) * golden-ratio). The Rng constructor
 /// runs the seed through splitmix64, which decorrelates consecutive walk
@@ -46,16 +47,6 @@ class WalkEngine {
   /// first; it always has between 1 and horizon+1 nodes.
   void Generate(graph::NodeId start, uint32_t horizon, Rng* rng,
                 std::vector<graph::NodeId>* out) const;
-
-  /// Generates `count` empty-seed-set walks from uniformly sampled starts,
-  /// appending them to `out`. Per walk, `rng` is consumed exactly as the
-  /// UniformInt(start) + Generate sequence would be, so a batch is a
-  /// self-contained RNG block: the output depends only on `rng`'s state at
-  /// entry. The engine is stateless, so concurrent calls on distinct
-  /// (rng, out) pairs are safe — this is the unit of work the parallel
-  /// sketch builder shards across a thread pool.
-  void GenerateBatch(uint64_t count, uint32_t horizon, Rng* rng,
-                     WalkBuffer* out) const;
 
   /// Generates walks `first_walk .. first_walk + count - 1` of the sketch
   /// keyed by `master_seed`, appending them to `out`. Walk j draws its

@@ -75,11 +75,6 @@ Result<RepairOutcome> SketchRepairer::Repair(
     return Status::InvalidArgument(
         "repair: sketch and patched graph disagree on node count");
   }
-  if (meta.master_seed == 0) {
-    return Status::FailedPrecondition(
-        "repair: sketch has no master seed (serial or unknown provenance); "
-        "its walks cannot be replayed per-index");
-  }
   if (meta.theta != base.num_walks()) {
     return Status::InvalidArgument("repair: meta.theta != sketch walk count");
   }

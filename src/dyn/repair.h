@@ -74,9 +74,6 @@ class SketchRepairer {
   /// changed; `base_alias` — alias tables over the PRE-mutation graph —
   /// enables the row-level incremental alias rebuild and may be null
   /// (full rebuild of the tables, walks still repaired incrementally).
-  ///
-  /// Fails with FailedPrecondition when meta.master_seed == 0 (a serial /
-  /// unknown-provenance sketch has no per-walk streams to replay).
   static Result<RepairOutcome> Repair(const core::WalkSet& base,
                                       const graph::Graph& patched,
                                       const opinion::Campaign& campaign,

@@ -60,7 +60,7 @@ struct OocBuildStats {
 /// graph the blocks were cut from (n nodes). The returned WalkSet has been
 /// finalized and carries the Eq. 35/42/47 start weights — byte-for-byte
 /// what core::BuildSketchSet(evaluator, theta, master_seed, options)
-/// produces for any thread count or block size.
+/// produces, for any thread count or block plan on either side.
 Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOoc(
     const BlockSet& blocks, const opinion::Campaign& campaign,
     uint32_t horizon, uint64_t theta, uint64_t master_seed,

@@ -37,7 +37,7 @@ struct SketchMeta {
   uint64_t theta = 0;        // number of sampled walks
   uint32_t horizon = 0;      // t the walks were generated for
   uint32_t target = 0;       // candidate whose campaign drove the walks
-  uint64_t master_seed = 0;  // sharded-builder seed (0 = unknown/serial)
+  uint64_t master_seed = 0;  // walk j draws from SketchWalkRng(master_seed, j)
   /// Fingerprint of the problem instance (graph + campaign state) the
   /// walks were generated from — see api::DatasetRegistry, which refuses
   /// to serve a sketch against a bundle with a different fingerprint. A

@@ -1,8 +1,7 @@
 // The unified typed query API, pinned four ways:
-//  * engine equivalence — api::Engine answers TopK / MinSeed / Evaluate
-//    byte-identically to the PR-4 CampaignService surface across worker
-//    thread counts 1/2/4 (and to the direct core selection path), so the
-//    redesign provably changed the plumbing, not one answer;
+//  * engine equivalence — ExecuteBatch answers TopK / MinSeed / Evaluate
+//    byte-identically to one-at-a-time Execute across worker thread
+//    counts 1/2/4, and TopK equals the direct core selection path;
 //  * the full nine-method roster is invocable through the engine AND
 //    through parsed wire requests (the protocol's "method" field);
 //  * the new MethodCompare / RuleSweep scenarios return one scored entry
@@ -18,7 +17,6 @@
 #include "core/estimated_greedy.h"
 #include "core/sketch.h"
 #include "serve/protocol.h"
-#include "serve/service.h"
 
 namespace voteopt::api {
 namespace {
@@ -77,15 +75,15 @@ class ApiEngineTest : public ::testing::Test {
   datasets::Dataset dataset_;
 };
 
-TEST_F(ApiEngineTest, EngineEqualsServiceAcrossThreadCounts) {
+TEST_F(ApiEngineTest, BatchEqualsInlineExecutionAcrossThreadCounts) {
   const std::vector<Request> batch = Pr4Batch();
 
-  // Reference: the PR-4 serving surface on one worker.
-  auto reference = serve::CampaignService::Open(Options(1));
+  // Reference: each request executed inline, one at a time, on one worker.
+  auto reference = Engine::Open(Options(1));
   ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   std::vector<std::string> expected;
-  for (const Response& response : (*reference)->HandleBatch(batch)) {
-    expected.push_back(response.ToStableJson());
+  for (const Request& request : batch) {
+    expected.push_back((*reference)->Execute(request).ToStableJson());
   }
 
   for (const uint32_t threads : {1u, 2u, 4u}) {
@@ -334,9 +332,8 @@ TEST_F(ApiEngineTest, TraceIsAnAdditiveSideChannel) {
   }
   EXPECT_TRUE(response.diagnostics.count("work.sketch_resets"));
   EXPECT_TRUE(response.diagnostics.count("work.gain_evaluations"));
-  // The pre-PR-7 bare spelling stays as an alias for one protocol version.
-  EXPECT_EQ(response.diagnostics.at("gain_evaluations"),
-            response.diagnostics.at("work.gain_evaluations"));
+  // The bare pre-v3 spelling is gone; selector work lives under work. only.
+  EXPECT_FALSE(response.diagnostics.count("gain_evaluations"));
 
   // A traced minseed reports its selector-call work count.
   Request minseed = Request::MinSeed(24, voting::ScoreSpec::Cumulative());

@@ -158,7 +158,6 @@ TEST(LazyGreedyTest, MatchesOnRSSketchWeights) {
   ScoreEvaluator ev(model, inst.state, 0, 5, voting::ScoreSpec::Cumulative());
   SketchBuildOptions build;
   build.num_threads = 2;
-  build.block_size = 256;
   const auto sketch = BuildSketchSet(ev, 4000, /*master_seed=*/9, build);
   const SelectionResult exhaustive = Select(ev, 12, *sketch, false, 1);
   const SelectionResult lazy = Select(ev, 12, *sketch, true, 1);

@@ -31,7 +31,6 @@ struct SketchSubstrate {
                            uint64_t master_seed) {
     SketchBuildOptions build;
     build.num_threads = 2;
-    build.block_size = 512;
     sketch = BuildSketchSet(ev, theta, master_seed, build);
   }
 

@@ -20,8 +20,9 @@ TEST(SketchSetTest, HasThetaWalksWithScaledWeights) {
   auto inst = MakeRandomInstance(30, 150, 2, 3);
   opinion::FJModel model(inst.graph);
   ScoreEvaluator ev(model, inst.state, 0, 4, voting::ScoreSpec::Cumulative());
-  Rng rng(5);
-  auto walks = BuildSketchSet(ev, 500, &rng);
+  SketchBuildOptions inline_build;
+  inline_build.num_threads = 1;
+  auto walks = BuildSketchSet(ev, 500, /*master_seed=*/5, inline_build);
   EXPECT_EQ(walks->num_walks(), 500u);
   // Start weights are n * lambda_v / theta; they sum to n.
   double total = 0.0;
@@ -39,10 +40,13 @@ TEST(SketchSetTest, CumulativeEstimatorIsUnbiased) {
   opinion::FJModel model(ex.graph);
   ScoreEvaluator ev(model, ex.state, 0, 1, voting::ScoreSpec::Cumulative());
   const double exact = 2.55;  // Table I row {}
-  Rng rng(7);
+  Rng seeds(7);
+  SketchBuildOptions inline_build;
+  inline_build.num_threads = 1;
   RunningStat stat;
   for (int rep = 0; rep < 200; ++rep) {
-    auto walks = BuildSketchSet(ev, 64, &rng);
+    // A fresh master seed per repetition: independent sketches.
+    auto walks = BuildSketchSet(ev, 64, seeds.Next(), inline_build);
     double estimate = 0.0;
     for (graph::NodeId v = 0; v < 4; ++v) {
       if (walks->Lambda(v) > 0) {

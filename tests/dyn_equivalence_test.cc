@@ -3,8 +3,8 @@
 // rebuild of the mutated instance — for every mutation schedule (edge
 // additions, deletions, mixed batches, opinion-only batches), every thread
 // count, both the in-memory and the out-of-core regeneration paths, and
-// with seed selections agreeing under all five voting rules. A sketch of
-// unknown provenance (master_seed = 0) refuses repair with a clean Status.
+// with seed selections agreeing under all five voting rules. Master seed 0
+// is an ordinary seed: its sketches repair like any other.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/engine.h"
 #include "core/estimated_greedy.h"
 #include "core/sketch.h"
 #include "dyn/mutation.h"
@@ -308,21 +309,43 @@ TEST(DynEquivalenceTest, SeedSelectionMatchesForAllFiveRules) {
   }
 }
 
-TEST(DynEquivalenceTest, UnknownProvenanceSketchRefusesRepair) {
+TEST(DynEquivalenceTest, SeedZeroSketchRepairsLikeRebuild) {
   auto inst = MakeRandomInstance(40, 200, 2, 5);
-  const auto base = BuildFromScratch(inst.graph, inst.state);
-  store::SketchMeta meta = MetaFor();
-  meta.master_seed = 0;  // serial / unknown provenance
-
-  auto patched = ApplyMutations(inst.graph, inst.state,
-                                std::vector<Mutation>{
-                                    Mutation::EdgeAdd(0, 1, 1.0)});
+  const auto base = BuildFromScratch(inst.graph, inst.state, kTheta,
+                                     /*seed=*/0);
+  const auto schedule = Schedules(inst)[1];
+  auto patched = ApplyMutations(inst.graph, inst.state, schedule);
   ASSERT_TRUE(patched.ok()) << patched.status().ToString();
   auto outcome = SketchRepairer::Repair(
-      *base, patched->graph, patched->state.campaigns[0], meta,
-      patched->dirty_nodes, nullptr, RepairOptions{});
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_EQ(outcome.status().code(), Status::Code::kFailedPrecondition);
+      *base, patched->graph, patched->state.campaigns[0],
+      MetaFor(kTheta, /*seed=*/0), patched->dirty_nodes, nullptr,
+      RepairOptions{});
+  ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+  EXPECT_GT(outcome->stats.walks_repaired, 0u);
+  const auto rebuilt = BuildFromScratch(patched->graph, patched->state,
+                                        kTheta, /*seed=*/0);
+  ExpectBitIdentical(*outcome->sketch, *rebuilt);
+}
+
+TEST(DynEquivalenceTest, EngineHostedWithSeedZeroAcceptsEdgeAdd) {
+  auto engine = api::Engine::Open(api::EngineOptions{});
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  datasets::Dataset dataset = datasets::MakeDataset(
+      datasets::DatasetName::kTwitterMask, 0.05, /*seed=*/7);
+  const auto [u, v] = AbsentEdge(dataset.influence, 13);
+  api::HostOptions host;
+  host.theta = kTheta;
+  host.horizon = kHorizon;
+  host.num_threads = 2;
+  host.rng_seed = 0;
+  ASSERT_TRUE((*engine)->Host("default", std::move(dataset), host).ok());
+  EXPECT_EQ((*engine)->sketch_meta().master_seed, 0u);
+
+  const api::Response response =
+      (*engine)->Execute(api::Request::EdgeAdd(u, v, 1.5));
+  ASSERT_TRUE(response.ok) << response.error;
+  EXPECT_EQ(response.applied, 1u);
+  EXPECT_EQ(response.walks_total, kTheta);
 }
 
 TEST(DynEquivalenceTest, MutationValidationFailsClean) {

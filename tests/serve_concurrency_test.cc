@@ -2,7 +2,7 @@
 // bit-identical across worker-thread counts and across concurrent client
 // threads (the frozen-view vs. per-query-state contract of
 // docs/ARCHITECTURE.md), and the registry must load/evict datasets while
-// the service keeps answering.
+// the engine keeps answering.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,9 +12,9 @@
 #include <thread>
 #include <vector>
 
-#include "serve/service.h"
+#include "api/engine.h"
 
-namespace voteopt::serve {
+namespace voteopt::api {
 namespace {
 
 /// Response JSON with the server-side timing stripped — everything that
@@ -48,9 +48,9 @@ class ServeConcurrencyTest : public ::testing::Test {
     }
   }
 
-  ServiceOptions OptionsFor(const std::string& prefix,
-                            uint32_t worker_threads) const {
-    ServiceOptions options;
+  EngineOptions OptionsFor(const std::string& prefix,
+                           uint32_t worker_threads) const {
+    EngineOptions options;
     options.load.bundle_prefix = prefix;
     options.load.build_theta = 10000;
     options.load.build_horizon = 8;
@@ -102,36 +102,36 @@ class ServeConcurrencyTest : public ::testing::Test {
 };
 
 TEST_F(ServeConcurrencyTest, AnswersAreInvariantAcrossWorkerThreadCounts) {
-  auto serial = CampaignService::Open(OptionsFor(prefix_a_, 1));
+  auto serial = Engine::Open(OptionsFor(prefix_a_, 1));
   ASSERT_TRUE(serial.ok()) << serial.status().ToString();
-  auto parallel = CampaignService::Open(OptionsFor(prefix_a_, 4));
+  auto parallel = Engine::Open(OptionsFor(prefix_a_, 4));
   ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
 
   const std::vector<Request> batch = MixedBatch();
-  const std::vector<Response> serial_answers = (*serial)->HandleBatch(batch);
+  const std::vector<Response> serial_answers = (*serial)->ExecuteBatch(batch);
   const std::vector<Response> parallel_answers =
-      (*parallel)->HandleBatch(batch);
+      (*parallel)->ExecuteBatch(batch);
   ASSERT_EQ(serial_answers.size(), parallel_answers.size());
   for (size_t i = 0; i < batch.size(); ++i) {
     EXPECT_EQ(StableJson(serial_answers[i]), StableJson(parallel_answers[i]))
         << "request " << i << " diverged across thread counts";
   }
-  // The parallel service really did fan out.
+  // The parallel engine really did fan out.
   EXPECT_EQ((*parallel)->num_worker_threads(), 4u);
   EXPECT_GE((*parallel)->stats().worker_states, 1u);
 }
 
 TEST_F(ServeConcurrencyTest, ConcurrentClientsMatchSerialExecution) {
-  auto service = CampaignService::Open(OptionsFor(prefix_a_, 4));
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto engine = Engine::Open(OptionsFor(prefix_a_, 4));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
-  // Reference answers from strictly serial execution on a fresh service.
-  auto reference = CampaignService::Open(OptionsFor(prefix_a_, 1));
+  // Reference answers from strictly serial execution on a fresh engine.
+  auto reference = Engine::Open(OptionsFor(prefix_a_, 1));
   ASSERT_TRUE(reference.ok());
   const std::vector<Request> batch = MixedBatch();
   std::vector<std::string> expected;
   for (const Request& request : batch) {
-    expected.push_back(StableJson((*reference)->Handle(request)));
+    expected.push_back(StableJson((*reference)->Execute(request)));
   }
 
   // Several client threads fire the same mixed batch concurrently, each
@@ -148,7 +148,7 @@ TEST_F(ServeConcurrencyTest, ConcurrentClientsMatchSerialExecution) {
             const size_t at = (i + c) % batch.size();
             got[c].push_back(
                 std::to_string(at) + "|" +
-                StableJson((*service)->Handle(batch[at])));
+                StableJson((*engine)->Execute(batch[at])));
           }
         }
       });
@@ -164,7 +164,7 @@ TEST_F(ServeConcurrencyTest, ConcurrentClientsMatchSerialExecution) {
           << " diverged under concurrency";
     }
   }
-  const auto stats = (*service)->stats();
+  const auto stats = (*engine)->stats();
   EXPECT_EQ(stats.queries, kClients * kRounds * batch.size());
   // One state per concurrently executing query at most — far fewer than
   // one per query.
@@ -172,8 +172,8 @@ TEST_F(ServeConcurrencyTest, ConcurrentClientsMatchSerialExecution) {
 }
 
 TEST_F(ServeConcurrencyTest, StatsCountersAreExactUnderConcurrentStress) {
-  auto service = CampaignService::Open(OptionsFor(prefix_a_, 4));
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto engine = Engine::Open(OptionsFor(prefix_a_, 4));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   // Four client threads each fire the mixed batch (which includes one
   // deliberately invalid request) several times, concurrently.
@@ -185,7 +185,7 @@ TEST_F(ServeConcurrencyTest, StatsCountersAreExactUnderConcurrentStress) {
     for (size_t c = 0; c < kClients; ++c) {
       clients.emplace_back([&] {
         for (size_t round = 0; round < kRounds; ++round) {
-          (*service)->HandleBatch(batch);
+          (*engine)->ExecuteBatch(batch);
         }
       });
     }
@@ -199,7 +199,7 @@ TEST_F(ServeConcurrencyTest, StatsCountersAreExactUnderConcurrentStress) {
   Request stats_request;
   stats_request.op = Request::Op::kStats;
   stats_request.v = 3;
-  const Response stats = (*service)->Handle(stats_request);
+  const Response stats = (*engine)->Execute(stats_request);
   ASSERT_TRUE(stats.ok) << stats.error;
   double queries_total = 0, errors_total = 0, batches = 0;
   for (const auto& [name, value] : stats.stats) {
@@ -219,7 +219,7 @@ TEST_F(ServeConcurrencyTest, StatsCountersAreExactUnderConcurrentStress) {
   EXPECT_EQ(stats.stats.at("engine_errors_total"), static_cast<double>(bad));
 
   // The metric counters and the engine's core atomics agree exactly.
-  const auto engine_stats = (*service)->stats();
+  const auto engine_stats = (*engine)->stats();
   EXPECT_EQ(stats.stats.at("voteopt_evaluator_cache_hits_total"),
             static_cast<double>(engine_stats.evaluator_cache_hits));
   EXPECT_EQ(stats.stats.at("voteopt_evaluator_cache_misses_total"),
@@ -231,8 +231,8 @@ TEST_F(ServeConcurrencyTest, StatsCountersAreExactUnderConcurrentStress) {
 }
 
 TEST_F(ServeConcurrencyTest, AdminVerbsAreBatchOrderingBarriers) {
-  auto service = CampaignService::Open(OptionsFor(prefix_a_, 4));
-  ASSERT_TRUE(service.ok());
+  auto engine = Engine::Open(OptionsFor(prefix_a_, 4));
+  ASSERT_TRUE(engine.ok());
 
   std::vector<Request> batch;
   Request request;
@@ -258,7 +258,7 @@ TEST_F(ServeConcurrencyTest, AdminVerbsAreBatchOrderingBarriers) {
   request.dataset = "other";  // must see the unload that precedes it
   batch.push_back(request);
 
-  const std::vector<Response> responses = (*service)->HandleBatch(batch);
+  const std::vector<Response> responses = (*engine)->ExecuteBatch(batch);
   ASSERT_EQ(responses.size(), 5u);
   EXPECT_TRUE(responses[0].ok);
   ASSERT_EQ(responses[0].datasets.size(), 1u);  // only the bootstrap dataset
@@ -270,54 +270,54 @@ TEST_F(ServeConcurrencyTest, AdminVerbsAreBatchOrderingBarriers) {
   EXPECT_EQ(responses[2].seeds.size(), 3u);
   EXPECT_TRUE(responses[3].ok) << responses[3].error;
   EXPECT_FALSE(responses[4].ok);  // 'other' is gone again
-  EXPECT_EQ((*service)->registry().size(), 1u);
+  EXPECT_EQ((*engine)->registry().size(), 1u);
 }
 
 TEST_F(ServeConcurrencyTest, UnloadEvictsIdleWorkerStates) {
-  auto service = CampaignService::Open(OptionsFor(prefix_a_, 2));
-  ASSERT_TRUE(service.ok());
+  auto engine = Engine::Open(OptionsFor(prefix_a_, 2));
+  ASSERT_TRUE(engine.ok());
 
   Request load;
   load.op = Request::Op::kLoad;
   load.dataset = "other";
   load.bundle = prefix_b_;
-  ASSERT_TRUE((*service)->Handle(load).ok);
+  ASSERT_TRUE((*engine)->Execute(load).ok);
 
   // Route queries to both datasets so each accumulates pooled state.
   Request query;
   query.op = Request::Op::kEvaluate;
   query.seeds = {1, 2};
   query.dataset = "default";
-  ASSERT_TRUE((*service)->Handle(query).ok);
+  ASSERT_TRUE((*engine)->Execute(query).ok);
   query.dataset = "other";
-  ASSERT_TRUE((*service)->Handle(query).ok);
-  EXPECT_GE((*service)->state_pool().IdleStates("other"), 1u);
+  ASSERT_TRUE((*engine)->Execute(query).ok);
+  EXPECT_GE((*engine)->state_pool().IdleStates("other"), 1u);
 
   Request unload;
   unload.op = Request::Op::kUnload;
   unload.dataset = "other";
-  ASSERT_TRUE((*service)->Handle(unload).ok);
+  ASSERT_TRUE((*engine)->Execute(unload).ok);
   // Eviction while idle: the pooled states died with the dataset.
-  EXPECT_EQ((*service)->state_pool().IdleStates("other"), 0u);
-  EXPECT_EQ((*service)->registry().size(), 1u);
+  EXPECT_EQ((*engine)->state_pool().IdleStates("other"), 0u);
+  EXPECT_EQ((*engine)->registry().size(), 1u);
 
   // Queries against the evicted name fail cleanly; the survivor still
   // answers; unloading twice reports NotFound.
   query.dataset = "other";
-  EXPECT_FALSE((*service)->Handle(query).ok);
+  EXPECT_FALSE((*engine)->Execute(query).ok);
   query.dataset = "default";
-  EXPECT_TRUE((*service)->Handle(query).ok);
-  EXPECT_FALSE((*service)->Handle(unload).ok);
+  EXPECT_TRUE((*engine)->Execute(query).ok);
+  EXPECT_FALSE((*engine)->Execute(unload).ok);
 
   // A re-load under the same name serves again from a fresh generation.
-  ASSERT_TRUE((*service)->Handle(load).ok);
+  ASSERT_TRUE((*engine)->Execute(load).ok);
   query.dataset = "other";
-  EXPECT_TRUE((*service)->Handle(query).ok);
+  EXPECT_TRUE((*engine)->Execute(query).ok);
 }
 
 TEST_F(ServeConcurrencyTest, SingleWorkerReusesOneState) {
-  auto service = CampaignService::Open(OptionsFor(prefix_a_, 1));
-  ASSERT_TRUE(service.ok());
+  auto engine = Engine::Open(OptionsFor(prefix_a_, 1));
+  ASSERT_TRUE(engine.ok());
   std::vector<Request> batch;
   for (int i = 0; i < 6; ++i) {
     Request request;
@@ -325,13 +325,13 @@ TEST_F(ServeConcurrencyTest, SingleWorkerReusesOneState) {
     request.seeds = {static_cast<graph::NodeId>(i)};
     batch.push_back(request);
   }
-  for (const Response& response : (*service)->HandleBatch(batch)) {
+  for (const Response& response : (*engine)->ExecuteBatch(batch)) {
     EXPECT_TRUE(response.ok) << response.error;
   }
   // Sequential execution on one worker: every query checked out the same
   // pooled state.
-  EXPECT_EQ((*service)->stats().worker_states, 1u);
-  EXPECT_EQ((*service)->state_pool().IdleStates("default"), 1u);
+  EXPECT_EQ((*engine)->stats().worker_states, 1u);
+  EXPECT_EQ((*engine)->state_pool().IdleStates("default"), 1u);
 }
 
 // Lock-free accessor audit regression: the pool's observability accessors
@@ -341,18 +341,18 @@ TEST_F(ServeConcurrencyTest, SingleWorkerReusesOneState) {
 // if the accessors take the pool mutex. The CI `tsan` job runs this suite,
 // so an accessor that drops the lock fails there too.
 TEST_F(ServeConcurrencyTest, StatePoolAccessorsAreSafeUnderQueryStorm) {
-  auto service = CampaignService::Open(OptionsFor(prefix_a_, 4));
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto engine = Engine::Open(OptionsFor(prefix_a_, 4));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   const std::vector<Request> batch = MixedBatch();
 
   std::atomic<bool> done{false};
   std::thread observer([&] {
     uint64_t floor = 0;
     while (!done.load(std::memory_order_acquire)) {
-      const uint64_t created = (*service)->state_pool().states_created();
+      const uint64_t created = (*engine)->state_pool().states_created();
       EXPECT_GE(created, floor) << "states_created went backwards";
       floor = created;
-      (void)(*service)->state_pool().IdleStates("default");
+      (void)(*engine)->state_pool().IdleStates("default");
     }
   });
 
@@ -363,7 +363,7 @@ TEST_F(ServeConcurrencyTest, StatePoolAccessorsAreSafeUnderQueryStorm) {
     clients.emplace_back([&, c] {
       for (size_t round = 0; round < kRounds; ++round) {
         for (size_t i = 0; i < batch.size(); ++i) {
-          (void)(*service)->Handle(batch[(i + c) % batch.size()]);
+          (void)(*engine)->Execute(batch[(i + c) % batch.size()]);
         }
       }
     });
@@ -372,11 +372,11 @@ TEST_F(ServeConcurrencyTest, StatePoolAccessorsAreSafeUnderQueryStorm) {
   done.store(true, std::memory_order_release);
   observer.join();
 
-  const uint64_t created = (*service)->state_pool().states_created();
+  const uint64_t created = (*engine)->state_pool().states_created();
   EXPECT_GE(created, 1u);
   EXPECT_LE(created, kClients);  // one state per concurrent client at most
-  EXPECT_GE((*service)->state_pool().IdleStates("default"), 1u);
+  EXPECT_GE((*engine)->state_pool().IdleStates("default"), 1u);
 }
 
 }  // namespace
-}  // namespace voteopt::serve
+}  // namespace voteopt::api

@@ -1,6 +1,6 @@
 // Correctness coverage for the epoll TCP front end (net/server.h): the
 // socket transport must deliver answers BYTE-IDENTICAL to the in-process
-// CampaignService / stdin path (determinism ledger entry 9), whatever the
+// api::Engine / stdin path (determinism ledger entry 9), whatever the
 // framing — lines split at every byte boundary, whole batches pipelined in
 // one write, many concurrent clients, any worker-thread count.
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "net/client.h"
 #include "net/server.h"
 #include "serve/protocol.h"
-#include "serve/service.h"
 
 namespace voteopt::net {
 namespace {
@@ -145,13 +144,13 @@ TEST_F(ServeNetTest, PipelinedBatchAnswersInOrderAndByteIdentical) {
   Server server(engine->get(), options);
   ASSERT_TRUE(server.Start().ok());
 
-  // Reference answers from the in-process service layer.
-  auto service = serve::CampaignService::Open(EngineOptionsFor(1));
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  // Reference answers from an in-process engine.
+  auto reference = api::Engine::Open(EngineOptionsFor(1));
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
   const std::vector<Request> batch = MixedBatch();
   std::vector<std::string> expected;
   for (const Request& request : batch) {
-    expected.push_back((*service)->Handle(request).ToStableJson());
+    expected.push_back((*reference)->Execute(request).ToStableJson());
   }
 
   // The whole batch in ONE write, interleaved with blank and comment
@@ -218,12 +217,12 @@ TEST_F(ServeNetTest, ConcurrentClientsEachGetServiceIdenticalAnswers) {
   Server server(engine->get(), options);
   ASSERT_TRUE(server.Start().ok());
 
-  auto reference = serve::CampaignService::Open(EngineOptionsFor(1));
+  auto reference = api::Engine::Open(EngineOptionsFor(1));
   ASSERT_TRUE(reference.ok());
   const std::vector<Request> batch = MixedBatch();
   std::vector<std::string> expected;
   for (const Request& request : batch) {
-    expected.push_back((*reference)->Handle(request).ToStableJson());
+    expected.push_back((*reference)->Execute(request).ToStableJson());
   }
 
   constexpr size_t kClients = 4;

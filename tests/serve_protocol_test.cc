@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "serve/lru_cache.h"
+#include "api/lru_cache.h"
 
 namespace voteopt::serve {
 namespace {
@@ -235,7 +235,7 @@ TEST(ResponseTest, SerializesTopKShapeAndEscapes) {
 }
 
 TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
-  LruCache<int> cache(2);
+  api::LruCache<int> cache(2);
   cache.Put("a", 1);
   cache.Put("b", 2);
   ASSERT_NE(cache.Get("a"), nullptr);  // a is now most recent
@@ -248,7 +248,7 @@ TEST(LruCacheTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(LruCacheTest, PutReplacesExistingKey) {
-  LruCache<int> cache(2);
+  api::LruCache<int> cache(2);
   cache.Put("a", 1);
   cache.Put("a", 5);
   EXPECT_EQ(cache.size(), 1u);
@@ -256,7 +256,7 @@ TEST(LruCacheTest, PutReplacesExistingKey) {
 }
 
 TEST(LruCacheTest, ZeroCapacityClampsToOne) {
-  LruCache<int> cache(0);
+  api::LruCache<int> cache(0);
   cache.Put("a", 1);
   EXPECT_EQ(*cache.Get("a"), 1);
   cache.Put("b", 2);

@@ -1,8 +1,8 @@
 // Integration coverage for the offline-build -> persist -> serve workflow:
-// a bundle + sketch are persisted to disk, a CampaignService loads them in
-// a fresh "process" (object), and a mixed batch of top-k / min-seed /
+// a bundle + sketch are persisted to disk, an api::Engine loads them in a
+// fresh "process" (object), and a mixed batch of top-k / min-seed /
 // evaluate queries is answered from the one loaded store.
-#include "serve/service.h"
+#include "api/engine.h"
 
 #include <gtest/gtest.h>
 
@@ -13,7 +13,7 @@
 #include "core/sketch.h"
 #include "store/sketch_store.h"
 
-namespace voteopt::serve {
+namespace voteopt::api {
 namespace {
 
 class ServeServiceTest : public ::testing::Test {
@@ -31,8 +31,8 @@ class ServeServiceTest : public ::testing::Test {
     }
   }
 
-  ServiceOptions DefaultOptions() const {
-    ServiceOptions options;
+  EngineOptions DefaultOptions() const {
+    EngineOptions options;
     options.load.bundle_prefix = prefix_;
     options.load.build_theta = 20000;
     options.load.build_horizon = 10;
@@ -55,18 +55,18 @@ class ServeServiceTest : public ::testing::Test {
 };
 
 TEST_F(ServeServiceTest, BuildsPersistsAndServesMixedBatch) {
-  // First open: no sketch on disk, so the service builds and persists one.
-  auto built = CampaignService::Open(DefaultOptions());
+  // First open: no sketch on disk, so the engine builds and persists one.
+  auto built = Engine::Open(DefaultOptions());
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   EXPECT_TRUE((*built)->stats().sketch_built);
 
   // Second open simulates the online process: it must load the persisted
   // artifact, not rebuild.
-  auto service = CampaignService::Open(DefaultOptions());
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  EXPECT_FALSE((*service)->stats().sketch_built);
-  EXPECT_TRUE((*service)->walks().adopted());
-  EXPECT_EQ((*service)->sketch_meta().theta, 20000u);
+  auto engine = Engine::Open(DefaultOptions());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  EXPECT_FALSE((*engine)->stats().sketch_built);
+  EXPECT_TRUE((*engine)->walks().adopted());
+  EXPECT_EQ((*engine)->sketch_meta().theta, 20000u);
 
   std::vector<Request> batch;
   batch.push_back(MakeRequest(Request::Op::kTopK));
@@ -82,7 +82,7 @@ TEST_F(ServeServiceTest, BuildsPersistsAndServesMixedBatch) {
   batch.back().seeds = {1, 2, 3};
   batch.back().overrides = {{0, 1.0}};
 
-  const std::vector<Response> responses = (*service)->HandleBatch(batch);
+  const std::vector<Response> responses = (*engine)->ExecuteBatch(batch);
   ASSERT_EQ(responses.size(), batch.size());
   for (const Response& response : responses) {
     EXPECT_TRUE(response.ok) << response.error;
@@ -98,7 +98,7 @@ TEST_F(ServeServiceTest, BuildsPersistsAndServesMixedBatch) {
   // Forcing user 0's opinion to 1 can only help the target.
   EXPECT_GE(responses[4].score, responses[3].score);
 
-  const auto stats = (*service)->stats();
+  const auto stats = (*engine)->stats();
   EXPECT_EQ(stats.queries, batch.size());
   EXPECT_EQ(stats.errors, 0u);
   // 5 queries over 3 distinct rules: the evaluator LRU must have hits.
@@ -108,12 +108,12 @@ TEST_F(ServeServiceTest, BuildsPersistsAndServesMixedBatch) {
 }
 
 TEST_F(ServeServiceTest, TopKMatchesDirectSketchSelection) {
-  auto service = CampaignService::Open(DefaultOptions());
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  auto engine = Engine::Open(DefaultOptions());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
 
   Request request = MakeRequest(Request::Op::kTopK);
   request.k = 6;
-  const Response response = (*service)->Handle(request);
+  const Response response = (*engine)->Execute(request);
   ASSERT_TRUE(response.ok) << response.error;
 
   // Reference: the same sketch built directly from the persisted file's
@@ -133,52 +133,52 @@ TEST_F(ServeServiceTest, TopKMatchesDirectSketchSelection) {
 }
 
 TEST_F(ServeServiceTest, RepeatedQueriesAreDeterministic) {
-  auto service = CampaignService::Open(DefaultOptions());
-  ASSERT_TRUE(service.ok());
+  auto engine = Engine::Open(DefaultOptions());
+  ASSERT_TRUE(engine.ok());
   Request request = MakeRequest(Request::Op::kTopK);
   request.k = 4;
   request.rule = "copeland";
-  const Response first = (*service)->Handle(request);
-  const Response second = (*service)->Handle(request);
+  const Response first = (*engine)->Execute(request);
+  const Response second = (*engine)->Execute(request);
   ASSERT_TRUE(first.ok && second.ok);
   EXPECT_EQ(first.seeds, second.seeds);
   EXPECT_DOUBLE_EQ(first.exact_score, second.exact_score);
 }
 
 TEST_F(ServeServiceTest, ErrorsAreResponsesNotCrashes) {
-  auto service = CampaignService::Open(DefaultOptions());
-  ASSERT_TRUE(service.ok());
+  auto engine = Engine::Open(DefaultOptions());
+  ASSERT_TRUE(engine.ok());
 
   Request bad_rule = MakeRequest(Request::Op::kTopK);
   bad_rule.k = 3;
   bad_rule.rule = "frobnicate";
-  EXPECT_FALSE((*service)->Handle(bad_rule).ok);
+  EXPECT_FALSE((*engine)->Execute(bad_rule).ok);
 
   Request bad_k = MakeRequest(Request::Op::kTopK);
   bad_k.k = 0;
-  EXPECT_FALSE((*service)->Handle(bad_k).ok);
+  EXPECT_FALSE((*engine)->Execute(bad_k).ok);
 
   Request bad_seed = MakeRequest(Request::Op::kEvaluate);
   bad_seed.seeds = {dataset_.influence.num_nodes() + 5};
-  EXPECT_FALSE((*service)->Handle(bad_seed).ok);
+  EXPECT_FALSE((*engine)->Execute(bad_seed).ok);
 
   Request bad_override = MakeRequest(Request::Op::kEvaluate);
   bad_override.overrides = {{0, 1.5}};
-  EXPECT_FALSE((*service)->Handle(bad_override).ok);
+  EXPECT_FALSE((*engine)->Execute(bad_override).ok);
 
-  // The service stays healthy after errors.
+  // The engine stays healthy after errors.
   Request good = MakeRequest(Request::Op::kTopK);
   good.k = 2;
-  EXPECT_TRUE((*service)->Handle(good).ok);
-  EXPECT_EQ((*service)->stats().errors, 4u);
+  EXPECT_TRUE((*engine)->Execute(good).ok);
+  EXPECT_EQ((*engine)->stats().errors, 4u);
 }
 
 TEST_F(ServeServiceTest, MinSeedMatchesAlgorithmTwo) {
-  auto service = CampaignService::Open(DefaultOptions());
-  ASSERT_TRUE(service.ok());
+  auto engine = Engine::Open(DefaultOptions());
+  ASSERT_TRUE(engine.ok());
   Request request = MakeRequest(Request::Op::kMinSeed);
   request.k_max = 32;
-  const Response response = (*service)->Handle(request);
+  const Response response = (*engine)->Execute(request);
   ASSERT_TRUE(response.ok) << response.error;
   if (response.achievable && response.k_star > 0) {
     EXPECT_EQ(response.seeds.size(), response.k_star);
@@ -192,34 +192,34 @@ TEST_F(ServeServiceTest, MinSeedMatchesAlgorithmTwo) {
 }
 
 TEST_F(ServeServiceTest, MissingBundleFailsCleanly) {
-  ServiceOptions options = DefaultOptions();
+  EngineOptions options = DefaultOptions();
   options.load.bundle_prefix = prefix_ + "-nope";
-  auto service = CampaignService::Open(options);
-  EXPECT_FALSE(service.ok());
+  auto engine = Engine::Open(options);
+  EXPECT_FALSE(engine.ok());
 }
 
 TEST_F(ServeServiceTest, MissingSketchWithoutBuildFallbackFails) {
-  ServiceOptions options = DefaultOptions();
+  EngineOptions options = DefaultOptions();
   options.load.build_theta = 0;  // no fallback build allowed
-  auto service = CampaignService::Open(options);
-  ASSERT_FALSE(service.ok());
-  EXPECT_EQ(service.status().code(), Status::Code::kIOError);
+  auto engine = Engine::Open(options);
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), Status::Code::kIOError);
 }
 
 TEST_F(ServeServiceTest, StaleSketchForRegeneratedBundleRejected) {
   // Build + persist against the current bundle, then regenerate the bundle
   // with the SAME node count but a different seed: node-count and target
   // checks both pass, so only the fingerprint can catch the staleness.
-  auto built = CampaignService::Open(DefaultOptions());
+  auto built = Engine::Open(DefaultOptions());
   ASSERT_TRUE(built.ok()) << built.status().ToString();
   const datasets::Dataset regenerated = datasets::MakeDataset(
       datasets::DatasetName::kTwitterMask, 0.05, /*seed=*/8);
   ASSERT_EQ(regenerated.influence.num_nodes(),
             dataset_.influence.num_nodes());
   ASSERT_TRUE(datasets::SaveDatasetBundle(regenerated, prefix_).ok());
-  auto service = CampaignService::Open(DefaultOptions());
-  ASSERT_FALSE(service.ok());
-  EXPECT_EQ(service.status().code(), Status::Code::kFailedPrecondition);
+  auto engine = Engine::Open(DefaultOptions());
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), Status::Code::kFailedPrecondition);
 }
 
 TEST_F(ServeServiceTest, MismatchedSketchRejected) {
@@ -237,10 +237,10 @@ TEST_F(ServeServiceTest, MismatchedSketchRejected) {
   ASSERT_TRUE(store::SaveSketch(*walks, {1000, 10, 0, 1},
                                 datasets::BundleSketchPath(prefix_))
                   .ok());
-  auto service = CampaignService::Open(DefaultOptions());
-  ASSERT_FALSE(service.ok());
-  EXPECT_EQ(service.status().code(), Status::Code::kFailedPrecondition);
+  auto engine = Engine::Open(DefaultOptions());
+  ASSERT_FALSE(engine.ok());
+  EXPECT_EQ(engine.status().code(), Status::Code::kFailedPrecondition);
 }
 
 }  // namespace
-}  // namespace voteopt::serve
+}  // namespace voteopt::api
