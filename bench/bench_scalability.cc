@@ -10,13 +10,13 @@
 // here and in bench_ablations.
 #include "bench_common.h"
 
+#include <algorithm>
 #include <fstream>
 #include <queue>
 #include <sstream>
 #include <tuple>
 
 #include "core/sketch.h"
-#include "core/walk_engine.h"
 #include "sketch_ooc/ooc_builder.h"
 #include "util/rng.h"
 #include "util/timer.h"
@@ -162,15 +162,16 @@ int main(int argc, char** argv) {
          sketch_table);
 
     // --- Out-of-core tier: a separate, larger instance built through the
-    // block-sharded engine (sketch_ooc/), with a sampled bit-identity spot
-    // check against the per-walk RNG-stream definition. Defaults to the
-    // paper-scale n = 10^6 tw-dist analog; CI runs it smaller via flags.
+    // block-sharded engine (sketch_ooc/) AND through the in-memory builder
+    // on the same graph, seed and theta, so the two schedulers' rates are
+    // comparable; answers_match is byte equality of the two WalkSets.
+    // Defaults to the paper-scale n = 10^6 tw-dist analog; CI runs it
+    // smaller via flags.
     //   --ooc_bench=0            skip the tier
     //   --ooc_nodes=<int>        instance size (default 1,000,000)
     //   --ooc_theta=<int>        walks (default 2^20)
     //   --ooc_block_budget_kb=N  per-block resident budget (default 8192,
     //                            i.e. 8 MiB -> 6 blocks at n = 10^6)
-    //   --ooc_sample=<int>       walks regenerated for the spot check
     //   --ooc_scratch=<prefix>   block-file scratch location
     std::ostringstream ooc_json;
     if (options.GetBool("ooc_bench", true)) {
@@ -181,8 +182,6 @@ int main(int argc, char** argv) {
       const uint64_t budget_bytes =
           static_cast<uint64_t>(options.GetInt("ooc_block_budget_kb", 8192))
           << 10;
-      const auto sample_walks =
-          static_cast<uint64_t>(options.GetInt("ooc_sample", 512));
       const std::string scratch = options.GetString(
           "ooc_scratch", "/tmp/voteopt_bench_ooc");
       const double ooc_scale =
@@ -205,36 +204,48 @@ int main(int argc, char** argv) {
         return 1;
       }
 
-      // Spot check: regenerate a sample of walks from their per-walk RNG
-      // streams (the definition both engines implement) and compare the
-      // stored trajectories byte-for-byte.
-      graph::AliasSampler alias(big.influence);
-      core::WalkEngine engine(big.influence, campaign, alias);
-      const auto& frozen = (*walks)->frozen();
-      bool answers_match = true;
-      Rng sample_rng(13);
-      core::WalkBuffer regen;
-      for (uint64_t s = 0; s < sample_walks && answers_match; ++s) {
-        const uint64_t j = sample_rng.UniformInt(ooc_theta);
-        regen.nodes.clear();
-        regen.lengths.clear();
-        engine.GenerateSeeded(j, 1, env.horizon, kOocMasterSeed, &regen);
-        const uint64_t begin = frozen.offsets[j], end = frozen.offsets[j + 1];
-        answers_match = regen.lengths[0] == end - begin;
-        for (uint64_t i = begin; answers_match && i < end; ++i) {
-          answers_match = frozen.nodes[i] == regen.nodes[i - begin];
-        }
-      }
+      // The same sketch in memory, default thread count on both sides.
+      opinion::FJModel big_model(big.influence);
+      voting::ScoreEvaluator big_ev(big_model, big.state, big.default_target,
+                                    env.horizon,
+                                    voting::ScoreSpec::Cumulative());
+      timer.Restart();
+      const auto in_memory =
+          core::BuildSketchSet(big_ev, ooc_theta, kOocMasterSeed, {});
+      const double mem_seconds = timer.Seconds();
 
-      Table ooc_table({"n", "m", "theta", "blocks", "sec", "walks/sec",
-                       "boundary hops", "answers_match"});
+      const auto& a = (*walks)->frozen();
+      const auto& b = in_memory->frozen();
+      const bool answers_match =
+          std::ranges::equal(a.nodes, b.nodes) &&
+          std::ranges::equal(a.offsets, b.offsets) &&
+          std::ranges::equal(a.starts, b.starts) &&
+          std::ranges::equal(a.lambda, b.lambda) &&
+          std::ranges::equal(a.start_weight, b.start_weight) &&
+          std::ranges::equal(a.index_offsets, b.index_offsets) &&
+          std::ranges::equal(
+              a.index_entries, b.index_entries,
+              [](const core::WalkSet::Posting& x,
+                 const core::WalkSet::Posting& y) {
+                return x.walk == y.walk && x.pos == y.pos;
+              });
+
+      const auto rate = [ooc_theta](double sec) {
+        return static_cast<double>(ooc_theta) / sec;
+      };
+      Table ooc_table({"n", "m", "theta", "blocks", "ooc sec",
+                       "ooc walks/sec", "in-memory sec",
+                       "in-memory walks/sec", "boundary hops",
+                       "answers_match"});
       ooc_table.Add(big.influence.num_nodes(), big.influence.num_edges(),
                     ooc_theta, stats.num_blocks, Table::Num(ooc_seconds, 3),
-                    Table::Num(static_cast<double>(ooc_theta) / ooc_seconds,
-                               0),
-                    stats.boundary_hops, answers_match ? "true" : "false");
+                    Table::Num(rate(ooc_seconds), 0),
+                    Table::Num(mem_seconds, 3),
+                    Table::Num(rate(mem_seconds), 0), stats.boundary_hops,
+                    answers_match ? "true" : "false");
       Emit(env,
-           "Out-of-core sketch tier (tw-dist analog, block budget " +
+           "Out-of-core sketch tier vs in-memory on the same graph (tw-dist "
+           "analog, block budget " +
                std::to_string(budget_bytes >> 10) + " KiB)",
            ooc_table);
       ooc_json << ",\n  \"ooc\": {\"n\": " << big.influence.num_nodes()
@@ -243,15 +254,15 @@ int main(int argc, char** argv) {
                << ", \"blocks\": " << stats.num_blocks
                << ", \"block_budget_kb\": " << (budget_bytes >> 10)
                << ", \"seconds\": " << ooc_seconds
-               << ", \"walks_per_sec\": "
-               << static_cast<double>(ooc_theta) / ooc_seconds
+               << ", \"walks_per_sec\": " << rate(ooc_seconds)
+               << ", \"in_memory_seconds\": " << mem_seconds
+               << ", \"in_memory_walks_per_sec\": " << rate(mem_seconds)
                << ", \"boundary_hops\": " << stats.boundary_hops
-               << ", \"sampled_walks\": " << sample_walks
                << ", \"answers_match\": " << (answers_match ? "true" : "false")
                << "}";
       if (!answers_match) {
-        std::cerr << "ooc tier: sampled walks DIVERGED from the per-walk "
-                     "RNG-stream definition\n";
+        std::cerr << "ooc tier: the out-of-core sketch DIVERGED from the "
+                     "in-memory one\n";
         return 1;
       }
     }

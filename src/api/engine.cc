@@ -1,7 +1,6 @@
 #include "api/engine.h"
 
 #include <algorithm>
-#include <filesystem>
 #include <future>
 #include <utility>
 
@@ -702,10 +701,11 @@ Response Engine::HandleMutate(const Request& request) {
     // alone, and every query rebuilds the sketch's value layer from
     // target_opinions() per selection — sharing the frozen WalkSet with
     // the predecessor is exact. The alias tables are NOT shared: a sampler
-    // holds a pointer to the graph it serves, and the predecessor's graph
-    // dies with its entry once the registry swap below drops it. Rebind by
-    // incremental copy (empty dirty set — a straight table copy) so the
-    // published alias always points at its own entry's graph.
+    // reads the in-edge sources of the graph it serves, and the
+    // predecessor's graph dies with its entry once the registry swap below
+    // drops it. Rebind by incremental copy (empty dirty set — a straight
+    // table copy) so the published alias always reads its own entry's
+    // graph.
     next->sketch = base->sketch;
     if (base->alias != nullptr) {
       next->alias = std::make_shared<const graph::AliasSampler>(
@@ -720,19 +720,9 @@ Response Engine::HandleMutate(const Request& request) {
       // The server is configured for out-of-core builds; repair replays
       // the dirty walks through the same block scheduler under a unique
       // scratch prefix (removed by Repair on every path).
-      static std::atomic<uint64_t> scratch_counter{0};
-      const std::string tag =
-          ".dynooc." + std::to_string(scratch_counter.fetch_add(1) + 1);
       repair.block_budget_bytes = options_.load.block_budget_bytes;
-      if (!options_.load.ooc_scratch_prefix.empty()) {
-        repair.ooc_scratch_prefix = options_.load.ooc_scratch_prefix + tag;
-      } else if (!base->bundle_prefix.empty()) {
-        repair.ooc_scratch_prefix = base->bundle_prefix + tag;
-      } else {
-        repair.ooc_scratch_prefix =
-            (std::filesystem::temp_directory_path() / ("voteopt" + tag))
-                .string();
-      }
+      repair.ooc_scratch_prefix = OocScratchPrefix(
+          options_.load.ooc_scratch_prefix, base->bundle_prefix);
     }
     auto outcome = dyn::SketchRepairer::Repair(
         *base->sketch, next->dataset.influence,

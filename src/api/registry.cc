@@ -50,17 +50,18 @@ uint64_t BundleFingerprint(const datasets::Dataset& dataset) {
   return store::Fnv1a64(digests.data(), digests.size() * sizeof(uint64_t));
 }
 
-namespace {
-
-/// A collision-free scratch prefix for one OOC build: concurrent loads may
-/// share a base prefix, so each build gets a unique numbered sibling.
-std::string UniqueScratchPrefix(std::string base) {
+std::string OocScratchPrefix(const std::string& configured,
+                             const std::string& bundle_prefix) {
   static std::atomic<uint64_t> scratch_counter{0};
+  std::string base = configured;
+  if (base.empty() && !bundle_prefix.empty()) base = bundle_prefix + ".oocblk";
   if (base.empty()) {
     base = (std::filesystem::temp_directory_path() / "voteopt_ooc").string();
   }
   return base + "." + std::to_string(scratch_counter.fetch_add(1));
 }
+
+namespace {
 
 /// The inline sketch build shared by Load's build fallback and Host: fills
 /// the entry's meta/sketch/build_evaluator from the recipe. The evaluator's
@@ -72,9 +73,10 @@ std::string UniqueScratchPrefix(std::string base) {
 Status BuildSketchInline(DatasetEntry* entry, uint64_t theta, uint32_t horizon,
                          uint32_t target, uint32_t num_threads,
                          uint64_t rng_seed, uint64_t fingerprint,
-                         uint64_t block_budget_bytes = 0,
-                         const std::string& ooc_scratch_prefix = "",
-                         obs::Registry* metrics = nullptr) {
+                         uint64_t block_budget_bytes,
+                         const std::string& ooc_scratch_prefix,
+                         const std::string& bundle_prefix,
+                         obs::Registry* metrics) {
   if (target >= entry->dataset.state.num_candidates()) {
     return Status::InvalidArgument(
         "target candidate " + std::to_string(target) +
@@ -98,7 +100,8 @@ Status BuildSketchInline(DatasetEntry* entry, uint64_t theta, uint32_t horizon,
     auto built = sketch_ooc::BuildSketchSetOocFromGraph(
         entry->dataset.influence, entry->dataset.state.campaigns[target],
         horizon, theta, rng_seed, block_budget_bytes,
-        UniqueScratchPrefix(ooc_scratch_prefix), ooc_options, &ooc_stats);
+        OocScratchPrefix(ooc_scratch_prefix, bundle_prefix), ooc_options,
+        &ooc_stats);
     if (!built.ok()) return built.status();
     entry->sketch = std::move(built).value();
     if (metrics != nullptr) {
@@ -192,14 +195,11 @@ Result<std::shared_ptr<const DatasetEntry>> DatasetRegistry::Load(
   } else if (loaded.status().code() == Status::Code::kIOError &&
              options.build_theta > 0) {
     // No persisted sketch: fall back to the offline build, inline.
-    const std::string scratch = options.ooc_scratch_prefix.empty()
-                                    ? options.bundle_prefix + ".oocblk"
-                                    : options.ooc_scratch_prefix;
     if (Status st = BuildSketchInline(
             entry.get(), options.build_theta, options.build_horizon,
             entry->dataset.default_target, options.build_threads,
             options.rng_seed, fingerprint, options.block_budget_bytes,
-            scratch, metrics_);
+            options.ooc_scratch_prefix, options.bundle_prefix, metrics_);
         !st.ok()) {
       return st;
     }
@@ -265,8 +265,16 @@ Result<std::shared_ptr<const DatasetEntry>> DatasetRegistry::Load(
       entry->dataset.influence = std::move(patched->graph);
       entry->dataset.state = std::move(patched->state);
       if (!patched->dirty_nodes.empty()) {
+        // Replay repairs the way live commits do: out of core when the
+        // load is budgeted, so the entry keeps no whole-graph alias tables.
         dyn::RepairOptions repair_options;
         repair_options.num_threads = options.build_threads;
+        repair_options.block_budget_bytes = options.block_budget_bytes;
+        if (options.block_budget_bytes > 0) {
+          repair_options.ooc_scratch_prefix =
+              OocScratchPrefix(options.ooc_scratch_prefix,
+                               options.bundle_prefix);
+        }
         auto repaired = dyn::SketchRepairer::Repair(
             *entry->sketch, entry->dataset.influence,
             entry->dataset.state.campaigns[entry->meta.target], entry->meta,
@@ -311,7 +319,7 @@ Result<std::shared_ptr<const DatasetEntry>> DatasetRegistry::Host(
           entry.get(), options.theta, options.horizon, target,
           options.num_threads, options.rng_seed,
           BundleFingerprint(entry->dataset), options.block_budget_bytes,
-          options.ooc_scratch_prefix, metrics_);
+          options.ooc_scratch_prefix, /*bundle_prefix=*/"", metrics_);
       !st.ok()) {
     return st;
   }

@@ -48,6 +48,14 @@ std::string EvaluatorSpecKey(const voting::ScoreSpec& spec);
 /// their base bundle (dyn/journal.h).
 uint64_t BundleFingerprint(const datasets::Dataset& dataset);
 
+/// A collision-free scratch prefix for one out-of-core sketch build or
+/// repair: `configured` when set, else next to the bundle
+/// (`<bundle_prefix>.oocblk`), else under the system temp directory — plus
+/// a process-wide sequence number, so concurrent loads and commits that
+/// share a base never collide.
+std::string OocScratchPrefix(const std::string& configured,
+                             const std::string& bundle_prefix);
+
 /// How to materialize one dataset: where the bundle lives and what to do
 /// when its sketch member is missing.
 struct DatasetLoadOptions {
@@ -75,8 +83,9 @@ struct DatasetLoadOptions {
   /// entry #7 — yields the exact WalkSet the in-memory builder would.
   /// 0 keeps the in-memory sharded builder.
   uint64_t block_budget_bytes = 0;
-  /// Where the OOC build parks its scratch block files; empty means next
-  /// to the bundle (`<bundle_prefix>.oocblk`). Cleaned up after the build.
+  /// Where OOC builds and repairs park their scratch block files (see
+  /// OocScratchPrefix); empty means next to the bundle. Cleaned up after
+  /// each run.
   std::string ooc_scratch_prefix;
 };
 

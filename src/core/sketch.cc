@@ -1,10 +1,11 @@
 #include "core/sketch.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
+#include <future>
 
 #include "core/estimated_greedy.h"
-#include "core/walk_engine.h"
 #include "graph/alias_table.h"
 #include "util/thread_pool.h"
 
@@ -30,41 +31,59 @@ std::unique_ptr<WalkSet> BuildSketchSet(const ScoreEvaluator& evaluator,
                                         const SketchBuildOptions& options) {
   const graph::Graph& g = evaluator.model().graph();
   const uint32_t n = g.num_nodes();
-  graph::AliasSampler alias(g);
+  const graph::AliasSampler alias(g);
   const WalkEngine engine(g, evaluator.target_campaign(), alias);
-  const uint32_t horizon = evaluator.horizon();
-
-  const uint64_t num_blocks =
-      (theta + kSketchBlockWalks - 1) / kSketchBlockWalks;
-  std::vector<WalkBuffer> buffers(num_blocks);
-  auto run_block = [&](uint64_t b) {
-    const uint64_t begin = b * kSketchBlockWalks;
-    const uint64_t count = std::min(kSketchBlockWalks, theta - begin);
-    buffers[b].nodes.reserve(count * (horizon / 4 + 1));
-    engine.GenerateSeeded(begin, count, horizon, master_seed, &buffers[b]);
-  };
-
-  uint32_t threads = options.num_threads == 0 ? ThreadPool::DefaultThreadCount()
-                                              : options.num_threads;
-  threads = static_cast<uint32_t>(
-      std::min<uint64_t>(threads, std::max<uint64_t>(num_blocks, 1)));
-  if (threads <= 1) {
-    for (uint64_t b = 0; b < num_blocks; ++b) run_block(b);
-  } else {
-    ThreadPool pool(threads);
-    std::vector<std::future<void>> done;
-    done.reserve(num_blocks);
-    for (uint64_t b = 0; b < num_blocks; ++b) {
-      done.push_back(pool.Submit([&run_block, b] { run_block(b); }));
-    }
-    for (auto& f : done) f.get();
-  }
-
   auto walks = std::make_unique<WalkSet>(n);
-  for (const WalkBuffer& buffer : buffers) walks->AddWalks(buffer);
+  for (const WalkBuffer& unit :
+       GenerateSketchWalks(engine, evaluator.horizon(), master_seed, theta,
+                           {}, options.num_threads)) {
+    walks->AddWalks(unit);
+  }
   walks->Finalize(evaluator.target_campaign().initial_opinions);
   ApplySketchWeights(walks.get(), n, theta);
   return walks;
+}
+
+std::vector<WalkBuffer> GenerateSketchWalks(
+    const WalkEngine& engine, uint32_t horizon, uint64_t master_seed,
+    uint64_t count, std::span<const uint64_t> walk_indices,
+    uint32_t num_threads) {
+  assert(walk_indices.empty() || walk_indices.size() == count);
+  uint32_t threads =
+      num_threads == 0 ? ThreadPool::DefaultThreadCount() : num_threads;
+  threads = std::max<uint32_t>(threads, 1);
+  const uint64_t unit = std::clamp<uint64_t>(count / (4 * threads) + 1, 64,
+                                             kSketchBlockWalks);
+  const uint64_t num_units = (count + unit - 1) / unit;
+  std::vector<WalkBuffer> units(num_units);
+  auto run_unit = [&](uint64_t u) {
+    const uint64_t begin = u * unit;
+    const uint64_t end = std::min(count, begin + unit);
+    units[u].nodes.reserve((end - begin) * (horizon / 4 + 1));
+    if (walk_indices.empty()) {
+      engine.GenerateSeeded(begin, end - begin, horizon, master_seed,
+                            &units[u]);
+      return;
+    }
+    for (uint64_t i = begin; i < end; ++i) {
+      engine.GenerateSeeded(walk_indices[i], 1, horizon, master_seed,
+                            &units[u]);
+    }
+  };
+
+  threads = static_cast<uint32_t>(std::min<uint64_t>(threads, num_units));
+  if (threads <= 1) {
+    for (uint64_t u = 0; u < num_units; ++u) run_unit(u);
+  } else {
+    ThreadPool pool(threads);
+    std::vector<std::future<void>> done;
+    done.reserve(num_units);
+    for (uint64_t u = 0; u < num_units; ++u) {
+      done.push_back(pool.Submit([&run_unit, u] { run_unit(u); }));
+    }
+    for (auto& f : done) f.get();
+  }
+  return units;
 }
 
 double CumulativeOptLowerBound(const ScoreEvaluator& evaluator, uint32_t k) {

@@ -7,15 +7,18 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "core/problem.h"
+#include "core/walk_engine.h"
 #include "core/walk_set.h"
 #include "util/rng.h"
 
 namespace voteopt::core {
 
-/// Walks per dispatch unit of the in-memory builder. Scheduling only: walk
-/// j always draws from SketchWalkRng(master_seed, j), so the block size
+/// Largest dispatch unit of the in-memory walk pool. Scheduling only: walk
+/// j always draws from SketchWalkRng(master_seed, j), so the unit size
 /// never changes the output.
 inline constexpr uint64_t kSketchBlockWalks = 8192;
 
@@ -28,8 +31,8 @@ struct SketchBuildOptions {
 /// Builds a sketch set: `theta` walks, each from a uniformly random start
 /// (with replacement). Walk j draws its start and trajectory from its own
 /// per-walk stream SketchWalkRng(master_seed, j) (see walk_engine.h);
-/// walks are generated in kSketchBlockWalks batches on a thread pool and
-/// merged in walk-index order. The output is therefore a pure function of
+/// walks are generated by the GenerateSketchWalks pool and merged in
+/// walk-index order. The output is therefore a pure function of
 /// (master_seed, theta) — bit-identical across runs and thread counts, and
 /// bit-identical to the out-of-core block engine (sketch_ooc/) given the
 /// same seed. Every master_seed, 0 included, is a valid seed. Start weights
@@ -38,6 +41,19 @@ struct SketchBuildOptions {
 std::unique_ptr<WalkSet> BuildSketchSet(const ScoreEvaluator& evaluator,
                                         uint64_t theta, uint64_t master_seed,
                                         const SketchBuildOptions& options);
+
+/// The in-memory walk pool under both BuildSketchSet and dyn repair:
+/// generates `count` walks of the sketch keyed by `master_seed` through the
+/// whole-graph `engine` and returns them as consecutive units in output
+/// order. Output walk i is sketch walk walk_indices[i], or walk i itself
+/// when `walk_indices` is empty (a full build). Units of
+/// clamp(count / (4T) + 1, 64, kSketchBlockWalks) walks run on T =
+/// `num_threads` threads (0 = one per hardware thread, 1 = inline); the
+/// bytes never depend on T.
+std::vector<WalkBuffer> GenerateSketchWalks(
+    const WalkEngine& engine, uint32_t horizon, uint64_t master_seed,
+    uint64_t count, std::span<const uint64_t> walk_indices,
+    uint32_t num_threads);
 
 /// Eq. 35/42/47 weighting: a start sampled lambda_v times represents
 /// n * lambda_v / theta users. Call after WalkSet::Finalize. Shared by the

@@ -9,6 +9,7 @@
 #ifndef VOTEOPT_CORE_WALK_ENGINE_H_
 #define VOTEOPT_CORE_WALK_ENGINE_H_
 
+#include <cassert>
 #include <cstdint>
 #include <vector>
 
@@ -34,13 +35,36 @@ inline Rng SketchWalkRng(uint64_t master_seed, uint64_t walk_index) {
   return Rng(master_seed + (walk_index + 1) * 0x9E3779B97F4A7C15ULL);
 }
 
+/// Walk `walk_index` of the sketch keyed by `master_seed`, opened: its
+/// start, drawn uniformly from the n nodes as the first draw of its
+/// stream, and the stream positioned after that draw. Every scheduler
+/// opens sketch walks through this.
+struct SketchWalkStart {
+  graph::NodeId node;
+  Rng rng;
+};
+inline SketchWalkStart StartSketchWalk(uint64_t master_seed,
+                                       uint64_t walk_index, uint32_t n) {
+  SketchWalkStart walk{0, SketchWalkRng(master_seed, walk_index)};
+  walk.node = static_cast<graph::NodeId>(walk.rng.UniformInt(n));
+  return walk;
+}
+
 class WalkEngine {
  public:
-  /// `graph`, `campaign` and `alias` must outlive the engine; `alias` must
-  /// be built over `graph`.
+  /// `campaign` and `alias` must outlive the engine. An engine over a
+  /// sampler that covers only a node range (an out-of-core block) runs
+  /// Advance alone; the Generate entry points need a whole-graph sampler.
+  WalkEngine(const opinion::Campaign& campaign,
+             const graph::AliasSampler& alias)
+      : campaign_(&campaign), alias_(&alias) {}
+  /// Whole-graph engine: `alias` must be built over `graph`.
   WalkEngine(const graph::Graph& graph, const opinion::Campaign& campaign,
              const graph::AliasSampler& alias)
-      : graph_(&graph), campaign_(&campaign), alias_(&alias) {}
+      : WalkEngine(campaign, alias) {
+    assert(alias.lo() == 0 && alias.hi() == graph.num_nodes());
+    (void)graph;
+  }
 
   /// Generates one walk with the EMPTY seed set (Post-Generation
   /// Truncation setup, Thm. 9). `out` receives the node sequence, start
@@ -50,14 +74,49 @@ class WalkEngine {
 
   /// Generates walks `first_walk .. first_walk + count - 1` of the sketch
   /// keyed by `master_seed`, appending them to `out`. Walk j draws its
-  /// start (UniformInt(n)) and its whole trajectory from
+  /// start (StartSketchWalk) and its whole trajectory from
   /// SketchWalkRng(master_seed, j) — per-walk independent streams — so the
   /// output depends only on (master_seed, first_walk, count, horizon),
-  /// never on batching or scheduling. This is the unit of work of BOTH the
-  /// in-memory sharded builder and the out-of-core block engine; their
-  /// bit-identity rests on sharing this walk definition.
+  /// never on batching or scheduling.
   void GenerateSeeded(uint64_t first_walk, uint64_t count, uint32_t horizon,
                       uint64_t master_seed, WalkBuffer* out) const;
+
+  /// The one sketch-walk step loop (paper § V-A), under both the in-memory
+  /// and the out-of-core scheduler. From head *head with *steps_left
+  /// transitions allowed, each step draws absorption by the head's
+  /// stubbornness (no draw when d >= 1), then an in-neighbor from the
+  /// alias tables, and appends it through `out`. Returns with *steps_left
+  /// == 0 once the walk terminates — absorbed, at a node without in-edges,
+  /// or out of steps — and otherwise stops as soon as the head leaves the
+  /// sampler's node range, steps remaining, for the scheduler to resume on
+  /// the range that owns it. A whole-graph sampler never stops early.
+  /// Precondition: alias.Contains(*head). Returns the advanced `out`.
+  template <typename OutputIt>
+  OutputIt Advance(graph::NodeId* head, uint32_t* steps_left, Rng* rng,
+                   OutputIt out) const {
+    // Locals, not the pointees: stores through `out` may alias them.
+    graph::NodeId current = *head;
+    uint32_t steps = *steps_left;
+    while (steps > 0) {
+      const double d = campaign_->stubbornness[current];
+      if (d >= 1.0 || (d > 0.0 && rng->Uniform() < d)) {  // absorbed
+        steps = 0;
+        break;
+      }
+      const graph::NodeId next = alias_->SampleInNeighbor(current, rng);
+      if (next == graph::AliasSampler::kNoNeighbor) {  // no in-edges
+        steps = 0;
+        break;
+      }
+      *out++ = next;
+      --steps;
+      current = next;
+      if (!alias_->Contains(next)) break;
+    }
+    *head = current;
+    *steps_left = steps;
+    return out;
+  }
 
   /// Direct Generation (paper § V-A) with a seed set applied: seeds are
   /// fully stubborn, so the walk is absorbed on reaching one. Returns the
@@ -66,14 +125,6 @@ class WalkEngine {
                            const std::vector<bool>& is_seed, Rng* rng) const;
 
  private:
-  /// The shared per-step dynamics: appends the walk's nodes after `start`
-  /// to *nodes (start itself is the caller's). Both Generate entry points
-  /// route through this, which is what guarantees their RNG-consumption
-  /// parity.
-  void Extend(graph::NodeId start, uint32_t horizon, Rng* rng,
-              std::vector<graph::NodeId>* nodes) const;
-
-  const graph::Graph* graph_;
   const opinion::Campaign* campaign_;
   const graph::AliasSampler* alias_;
 };

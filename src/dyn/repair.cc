@@ -1,69 +1,13 @@
 #include "dyn/repair.h"
 
-#include <algorithm>
-#include <future>
 #include <utility>
 #include <vector>
 
 #include "core/sketch.h"
 #include "core/walk_engine.h"
-#include "sketch_ooc/block_store.h"
 #include "sketch_ooc/ooc_builder.h"
-#include "sketch_ooc/partition.h"
-#include "util/thread_pool.h"
 
 namespace voteopt::dyn {
-namespace {
-
-/// Regenerates the listed walks against the patched in-memory graph,
-/// appending to `out` in list order. Chunk-parallel; each walk is its own
-/// RNG block (GenerateSeeded), so chunking never changes the bytes.
-void RegenerateWalksInMemory(const graph::Graph& patched,
-                             const opinion::Campaign& campaign,
-                             const graph::AliasSampler& alias,
-                             uint32_t horizon, uint64_t master_seed,
-                             std::span<const uint64_t> walk_indices,
-                             uint32_t num_threads, core::WalkBuffer* out) {
-  core::WalkEngine engine(patched, campaign, alias);
-  uint32_t threads =
-      num_threads == 0 ? ThreadPool::DefaultThreadCount() : num_threads;
-  threads = std::max<uint32_t>(threads, 1);
-  const size_t chunk_size =
-      threads > 1
-          ? std::max<size_t>(64, walk_indices.size() / (threads * 4) + 1)
-          : walk_indices.size();
-  const size_t num_chunks =
-      walk_indices.empty() ? 0 : (walk_indices.size() + chunk_size - 1) / chunk_size;
-
-  std::vector<core::WalkBuffer> buffers(num_chunks);
-  auto run_chunk = [&](size_t c) {
-    const size_t begin = c * chunk_size;
-    const size_t end = std::min(walk_indices.size(), begin + chunk_size);
-    for (size_t i = begin; i < end; ++i) {
-      engine.GenerateSeeded(walk_indices[i], 1, horizon, master_seed,
-                            &buffers[c]);
-    }
-  };
-  if (threads > 1 && num_chunks > 1) {
-    ThreadPool pool(threads);
-    std::vector<std::future<void>> done;
-    done.reserve(num_chunks);
-    for (size_t c = 0; c < num_chunks; ++c) {
-      done.push_back(pool.Submit([&run_chunk, c] { run_chunk(c); }));
-    }
-    for (auto& f : done) f.get();
-  } else {
-    for (size_t c = 0; c < num_chunks; ++c) run_chunk(c);
-  }
-  // Merge in chunk order = walk-list order.
-  for (core::WalkBuffer& buf : buffers) {
-    out->nodes.insert(out->nodes.end(), buf.nodes.begin(), buf.nodes.end());
-    out->lengths.insert(out->lengths.end(), buf.lengths.begin(),
-                        buf.lengths.end());
-  }
-}
-
-}  // namespace
 
 Result<RepairOutcome> SketchRepairer::Repair(
     const core::WalkSet& base, const graph::Graph& patched,
@@ -114,38 +58,30 @@ Result<RepairOutcome> SketchRepairer::Repair(
         return Status::InvalidArgument(
             "repair: block_budget_bytes set but no ooc_scratch_prefix");
       }
-      auto plan = sketch_ooc::PlanByBudget(patched, options.block_budget_bytes);
-      if (!plan.ok()) return plan.status();
-      const uint32_t num_blocks = plan->num_blocks();
-      if (Status st = sketch_ooc::WriteBlocks(patched, *plan,
-                                              options.ooc_scratch_prefix);
-          !st.ok()) {
-        sketch_ooc::RemoveBlocks(options.ooc_scratch_prefix, num_blocks);
-        return st;
-      }
-      auto blocks = sketch_ooc::BlockSet::Open(options.ooc_scratch_prefix);
-      if (!blocks.ok()) {
-        sketch_ooc::RemoveBlocks(options.ooc_scratch_prefix, num_blocks);
-        return blocks.status();
-      }
       sketch_ooc::OocBuildOptions ooc_options;
       ooc_options.num_threads = options.num_threads;
-      Status regenerated = sketch_ooc::RegenerateWalksOoc(
-          *blocks, campaign, meta.horizon, meta.master_seed, dirty_indices,
-          ooc_options, &regen);
-      sketch_ooc::RemoveBlocks(options.ooc_scratch_prefix, num_blocks);
-      if (!regenerated.ok()) return regenerated;
+      VOTEOPT_RETURN_IF_ERROR(sketch_ooc::RegenerateWalksOocFromGraph(
+          patched, campaign, meta.horizon, meta.master_seed, dirty_indices,
+          options.block_budget_bytes, options.ooc_scratch_prefix, ooc_options,
+          &regen));
     } else {
       // In-memory path: alias tables over the patched graph, rebuilt at row
-      // granularity when the pre-mutation tables are available.
+      // granularity when the pre-mutation tables are available, feeding
+      // the in-memory builder's own walk pool.
       std::shared_ptr<const graph::AliasSampler> alias =
           base_alias != nullptr
               ? std::make_shared<const graph::AliasSampler>(patched, *base_alias,
                                                             dirty_nodes)
               : std::make_shared<const graph::AliasSampler>(patched);
-      RegenerateWalksInMemory(patched, campaign, *alias, meta.horizon,
-                              meta.master_seed, dirty_indices,
-                              options.num_threads, &regen);
+      const core::WalkEngine engine(patched, campaign, *alias);
+      for (const core::WalkBuffer& unit : core::GenerateSketchWalks(
+               engine, meta.horizon, meta.master_seed, dirty_indices.size(),
+               dirty_indices, options.num_threads)) {
+        regen.nodes.insert(regen.nodes.end(), unit.nodes.begin(),
+                           unit.nodes.end());
+        regen.lengths.insert(regen.lengths.end(), unit.lengths.begin(),
+                             unit.lengths.end());
+      }
       outcome.alias = std::move(alias);
     }
   } else if (options.block_budget_bytes == 0 && base_alias != nullptr) {

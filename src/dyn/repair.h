@@ -61,7 +61,8 @@ struct RepairOutcome {
   /// the patched graph produces.
   std::unique_ptr<core::WalkSet> sketch;
   /// Alias tables over the patched graph, for the next repair's row-level
-  /// reuse. Null on the OOC path (blocks compile their own slices).
+  /// reuse. Null on the OOC path (each block compiles its own range's
+  /// tables).
   std::shared_ptr<const graph::AliasSampler> alias;
   RepairStats stats;
 };

@@ -6,8 +6,13 @@
 
 namespace voteopt::graph {
 
-namespace internal {
+namespace {
 
+/// Vose's algorithm on one node's in-edge weight slice: fills
+/// prob[0..deg) with acceptance probabilities and alias[0..deg) with
+/// within-slice alias indices. `scaled`, `small`, `large` are caller-owned
+/// scratch (cleared here) so tight loops don't reallocate. Deterministic:
+/// the tables are a pure function of the weight slice.
 void BuildAliasRow(std::span<const double> weights, double* prob,
                    uint32_t* alias, std::vector<double>* scaled,
                    std::vector<uint32_t>* small,
@@ -47,37 +52,43 @@ void BuildAliasRow(std::span<const double> weights, double* prob,
   }
 }
 
-}  // namespace internal
+}  // namespace
 
-AliasSampler::AliasSampler(const Graph& graph) : graph_(&graph) {
-  const uint64_t m = graph.num_edges();
-  prob_.assign(m, 1.0);
-  alias_.assign(m, 0);
-  offsets_.resize(graph.num_nodes() + 1);
-  offsets_[graph.num_nodes()] = m;
+AliasSampler::AliasSampler(const Graph& graph)
+    : AliasSampler(0, graph.InOffsets(), graph.InSources(),
+                   graph.InWeightsRaw()) {}
 
+AliasSampler::AliasSampler(NodeId lo, std::span<const uint64_t> offsets,
+                           std::span<const NodeId> sources,
+                           std::span<const double> weights)
+    : lo_(lo),
+      hi_(lo + static_cast<NodeId>(offsets.size() - 1)),
+      sources_(sources),
+      prob_(weights.size(), 1.0),
+      alias_(weights.size(), 0),
+      offsets_(offsets.begin(), offsets.end()) {
+  assert(!offsets.empty() && offsets.front() == 0);
+  assert(sources.size() == weights.size());
+  assert(offsets.back() == weights.size());
   std::vector<uint32_t> small;
   std::vector<uint32_t> large;
   std::vector<double> scaled;
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    offsets_[v] = graph.InEdgeBegin(v);
-    const auto weights = graph.InWeights(v);
-    if (weights.empty()) continue;
-    internal::BuildAliasRow(weights, prob_.data() + offsets_[v],
-                            alias_.data() + offsets_[v], &scaled, &small,
-                            &large);
+  for (uint64_t row = 0; row + 1 < offsets.size(); ++row) {
+    const uint64_t begin = offsets[row], end = offsets[row + 1];
+    if (begin == end) continue;
+    BuildAliasRow(weights.subspan(begin, end - begin), prob_.data() + begin,
+                  alias_.data() + begin, &scaled, &small, &large);
   }
 }
 
 AliasSampler::AliasSampler(const Graph& graph, const AliasSampler& base,
                            std::span<const NodeId> dirty_rows)
-    : graph_(&graph) {
-  const uint64_t m = graph.num_edges();
-  prob_.assign(m, 1.0);
-  alias_.assign(m, 0);
-  offsets_.resize(graph.num_nodes() + 1);
-  offsets_[graph.num_nodes()] = m;
-
+    : hi_(graph.num_nodes()),
+      sources_(graph.InSources()),
+      prob_(graph.num_edges(), 1.0),
+      alias_(graph.num_edges(), 0),
+      offsets_(graph.InOffsets().begin(), graph.InOffsets().end()) {
+  assert(base.lo_ == 0 && base.hi_ == hi_);
   std::vector<uint32_t> small;
   std::vector<uint32_t> large;
   std::vector<double> scaled;
@@ -86,13 +97,12 @@ AliasSampler::AliasSampler(const Graph& graph, const AliasSampler& base,
     const bool dirty =
         next_dirty < dirty_rows.size() && dirty_rows[next_dirty] == v;
     if (dirty) ++next_dirty;
-    offsets_[v] = graph.InEdgeBegin(v);
     const auto weights = graph.InWeights(v);
     if (weights.empty()) continue;
     const uint64_t dst = offsets_[v];
     if (!dirty) {
       // Clean rows locate their base slice through base's OWN offsets
-      // snapshot — base.graph_ may already be freed (a sampler can be
+      // snapshot — base's graph may already be freed (a sampler can be
       // shared across dataset generations whose graphs it outlives).
       const uint64_t src = base.offsets_[v];
       assert(base.offsets_[v + 1] - src == weights.size());
@@ -102,54 +112,23 @@ AliasSampler::AliasSampler(const Graph& graph, const AliasSampler& base,
                   alias_.begin() + dst);
       continue;
     }
-    internal::BuildAliasRow(weights, prob_.data() + dst, alias_.data() + dst,
-                            &scaled, &small, &large);
+    BuildAliasRow(weights, prob_.data() + dst, alias_.data() + dst, &scaled,
+                  &small, &large);
   }
   assert(next_dirty == dirty_rows.size());
-}
-
-AliasSlice::AliasSlice(std::span<const uint64_t> offsets,
-                       std::span<const NodeId> sources,
-                       std::span<const double> weights)
-    : offsets_(offsets), sources_(sources) {
-  assert(!offsets.empty());
-  assert(sources.size() == weights.size());
-  assert(offsets.back() == weights.size());
-  prob_.assign(weights.size(), 1.0);
-  alias_.assign(weights.size(), 0);
-
-  std::vector<uint32_t> small;
-  std::vector<uint32_t> large;
-  std::vector<double> scaled;
-  for (uint64_t row = 0; row + 1 < offsets.size(); ++row) {
-    const uint64_t begin = offsets[row], end = offsets[row + 1];
-    if (begin == end) continue;
-    internal::BuildAliasRow(weights.subspan(begin, end - begin),
-                            prob_.data() + begin, alias_.data() + begin,
-                            &scaled, &small, &large);
-  }
-}
-
-NodeId AliasSampler::SampleInNeighbor(NodeId v, Rng* rng) const {
-  const auto neighbors = graph_->InNeighbors(v);
-  if (neighbors.empty()) return kNoNeighbor;
-  const uint64_t base = graph_->InEdgeBegin(v);
-  const size_t slot = static_cast<size_t>(rng->UniformInt(neighbors.size()));
-  if (rng->Uniform() < prob_[base + slot]) return neighbors[slot];
-  return neighbors[alias_[base + slot]];
 }
 
 double AliasSampler::Probability(NodeId v, size_t slot) const {
   // Reconstructs the sampling probability of slice position `slot`:
   // p = (prob[slot] + sum of (1 - prob[j]) over j aliasing to slot) / deg.
-  const auto neighbors = graph_->InNeighbors(v);
-  assert(slot < neighbors.size());
-  const uint64_t base = graph_->InEdgeBegin(v);
+  const uint64_t base = offsets_[v - lo_];
+  const uint64_t deg = offsets_[v - lo_ + 1] - base;
+  assert(slot < deg);
   double p = prob_[base + slot];
-  for (size_t j = 0; j < neighbors.size(); ++j) {
+  for (size_t j = 0; j < deg; ++j) {
     if (j != slot && alias_[base + j] == slot) p += 1.0 - prob_[base + j];
   }
-  return p / static_cast<double>(neighbors.size());
+  return p / static_cast<double>(deg);
 }
 
 }  // namespace voteopt::graph

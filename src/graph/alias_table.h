@@ -17,20 +17,14 @@
 
 namespace voteopt::graph {
 
-namespace internal {
-/// Vose's algorithm on one node's in-edge weight slice: fills
-/// prob[0..deg) with acceptance probabilities and alias[0..deg) with
-/// within-slice alias indices. `scaled`, `small`, `large` are caller-owned
-/// scratch (cleared here) so tight loops don't reallocate. Deterministic:
-/// the tables are a pure function of the weight slice, so any two samplers
-/// built over the same slice — full-graph or block-local — hold identical
-/// entries and consume an Rng identically.
-void BuildAliasRow(std::span<const double> weights, double* prob,
-                   uint32_t* alias, std::vector<double>* scaled,
-                   std::vector<uint32_t>* small, std::vector<uint32_t>* large);
-}  // namespace internal
-
-/// Per-node alias tables over the in-adjacency of a graph.
+/// Per-node alias tables over the in-adjacency of a node range [lo, hi) —
+/// the whole graph, or one out-of-core block (sketch_ooc/). Nodes are
+/// addressed by GLOBAL id and sampled sources are global ids, so a walk
+/// step reads the same on either. Row tables are pure functions of the
+/// row's weight slice, so samplers over different ranges that share a row
+/// hold identical entries for it and consume an Rng identically (one
+/// UniformInt, one Uniform) — the out-of-core builder's bit-identity with
+/// the in-memory one (determinism ledger entry #7) rests on this.
 ///
 /// If a node's incoming weights sum to s < 1 they are sampled
 /// proportionally (the table normalizes internally); the caller is expected
@@ -40,24 +34,43 @@ class AliasSampler {
   /// Sentinel returned by SampleInNeighbor for nodes without in-edges.
   static constexpr NodeId kNoNeighbor = static_cast<NodeId>(-1);
 
+  /// Tables over the whole graph: the range [0, n).
   explicit AliasSampler(const Graph& graph);
 
-  /// Incremental rebuild for dynamic graphs (src/dyn): tables over `graph`
-  /// where only the rows in `dirty_rows` (ascending, unique) differ from
-  /// `base`'s graph. Clean rows copy base's prob/alias entries verbatim —
-  /// row tables are pure functions of the row's weight slice, so the copy
-  /// is exact even though global offsets shift — and Vose runs only on the
-  /// dirty rows. Equivalent to AliasSampler(graph), at O(dirty) build cost.
-  /// Reads only `base`'s owned arrays (tables + offsets snapshot), never
-  /// the graph `base` was built over, so `base` may outlive its graph.
-  /// Precondition: every row NOT listed dirty has an identical weight slice
-  /// in both graphs.
+  /// Tables over the in-CSR slice of the range [lo, lo + offsets.size() - 1):
+  /// `offsets` holds one entry per node plus one, rebased so offsets[0] ==
+  /// 0 (copied); `sources` / `weights` are the slice's concatenated in-edge
+  /// arrays, offsets.back() long. `sources` must outlive the sampler.
+  AliasSampler(NodeId lo, std::span<const uint64_t> offsets,
+               std::span<const NodeId> sources,
+               std::span<const double> weights);
+
+  /// Incremental rebuild for dynamic graphs (src/dyn): whole-graph tables
+  /// over `graph` where only the rows in `dirty_rows` (ascending, unique)
+  /// differ from whole-graph sampler `base`'s graph. Clean rows copy base's
+  /// prob/alias entries verbatim — exact even though global offsets shift —
+  /// and Vose runs only on the dirty rows. Equivalent to
+  /// AliasSampler(graph), at O(dirty) build cost. Reads only `base`'s owned
+  /// arrays (tables + offsets snapshot), never the graph `base` was built
+  /// over, so `base` may outlive its graph. Precondition: every row NOT
+  /// listed dirty has an identical weight slice in both graphs.
   AliasSampler(const Graph& graph, const AliasSampler& base,
                std::span<const NodeId> dirty_rows);
 
-  /// Draws an in-neighbor of v with probability proportional to the edge
-  /// weight, or kNoNeighbor when v has no in-edges. O(1).
-  NodeId SampleInNeighbor(NodeId v, Rng* rng) const;
+  NodeId lo() const { return lo_; }
+  NodeId hi() const { return hi_; }
+  bool Contains(NodeId v) const { return v >= lo_ && v < hi_; }
+
+  /// Draws an in-neighbor of v (lo() <= v < hi()) with probability
+  /// proportional to the edge weight, or kNoNeighbor when v has no
+  /// in-edges. O(1).
+  NodeId SampleInNeighbor(NodeId v, Rng* rng) const {
+    const uint64_t begin = offsets_[v - lo_], end = offsets_[v - lo_ + 1];
+    if (begin == end) return kNoNeighbor;
+    const uint64_t slot = begin + rng->UniformInt(end - begin);
+    if (rng->Uniform() < prob_[slot]) return sources_[slot];
+    return sources_[begin + alias_[slot]];
+  }
 
   /// Exact sampling probability of the in-edge at slice position `slot`
   /// of node v (for tests).
@@ -69,60 +82,19 @@ class AliasSampler {
   }
 
  private:
-  // The graph sampled from. Must stay alive for Sample/Probability calls;
-  // the incremental constructor above deliberately does NOT read it (a
-  // sampler may be used as a copy base after its graph is gone).
-  const Graph* graph_;
-  // Parallel to the graph's in-edge arrays: acceptance probability and
-  // within-slice alias index.
-  std::vector<double> prob_;
-  std::vector<uint32_t> alias_;
-  // Snapshot of the graph's in-edge CSR offsets (num_nodes + 1 entries).
-  // Owned so clean-row copies in the incremental constructor can locate
-  // base rows without touching base's — possibly freed — graph.
-  std::vector<uint64_t> offsets_;
-};
-
-/// Per-row alias tables over a rebased local CSR slice — the in-adjacency
-/// of a node range [lo, hi) of a partitioned graph, with row r standing for
-/// global node lo + r. Vose construction is per-node, depending only on
-/// that node's weight slice, so an AliasSlice holds exactly the same
-/// prob/alias entries as the full-graph AliasSampler over those rows, and
-/// SampleInNeighbor consumes the Rng identically (one UniformInt, one
-/// Uniform). This is the keystone of the out-of-core engine's bit-identity
-/// with the in-memory builder (determinism ledger entry #7).
-class AliasSlice {
- public:
-  static constexpr NodeId kNoNeighbor = AliasSampler::kNoNeighbor;
-
-  /// `offsets` has num_rows + 1 entries with offsets[0] == 0 (local,
-  /// rebased); `sources` / `weights` are the concatenated local in-edge
-  /// arrays, offsets.back() long. The spans must outlive the slice (the
-  /// tables are owned, the CSR arrays are not).
-  AliasSlice(std::span<const uint64_t> offsets, std::span<const NodeId> sources,
-             std::span<const double> weights);
-
-  /// Draws an in-neighbor (a GLOBAL node id) of local row `row`, or
-  /// kNoNeighbor when the row has no in-edges. O(1).
-  NodeId SampleInNeighbor(uint64_t row, Rng* rng) const {
-    const uint64_t begin = offsets_[row], end = offsets_[row + 1];
-    if (begin == end) return kNoNeighbor;
-    const uint64_t slot = rng->UniformInt(end - begin);
-    if (rng->Uniform() < prob_[begin + slot]) return sources_[begin + slot];
-    return sources_[begin + alias_[begin + slot]];
-  }
-
-  uint64_t num_rows() const { return offsets_.size() - 1; }
-
-  size_t memory_bytes() const {
-    return prob_.size() * sizeof(double) + alias_.size() * sizeof(uint32_t);
-  }
-
- private:
-  std::span<const uint64_t> offsets_;
+  NodeId lo_ = 0;
+  NodeId hi_ = 0;
+  // The range's in-edge sources (graph- or block-file-owned).
   std::span<const NodeId> sources_;
+  // Parallel to sources_: acceptance probability and within-row alias
+  // index.
   std::vector<double> prob_;
   std::vector<uint32_t> alias_;
+  // Snapshot of the range's in-edge CSR offsets (hi - lo + 1 entries,
+  // rebased to 0). Owned so clean-row copies in the incremental
+  // constructor can locate base rows without touching base's — possibly
+  // freed — graph.
+  std::vector<uint64_t> offsets_;
 };
 
 }  // namespace voteopt::graph

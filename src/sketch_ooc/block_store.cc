@@ -229,17 +229,8 @@ Result<GraphBlock> BlockSet::LoadBlock(uint32_t block) const {
     }
   }
 
-  GraphBlock out;
-  out.lo = lo;
-  out.hi = hi;
-  out.in_offsets = *offsets;
-  out.in_sources = *sources;
-  out.in_weights = *weights;
-  out.alias = std::make_unique<graph::AliasSlice>(out.in_offsets,
-                                                  out.in_sources,
-                                                  out.in_weights);
-  out.keep_alive = reader->file();
-  return out;
+  return GraphBlock{graph::AliasSampler(lo, *offsets, *sources, *weights),
+                    reader->file()};
 }
 
 }  // namespace voteopt::sketch_ooc

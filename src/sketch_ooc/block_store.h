@@ -18,7 +18,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -49,16 +48,12 @@ Status WriteBlocks(const graph::Graph& graph, const PartitionPlan& plan,
 /// to clean scratch block sets after an OOC build).
 void RemoveBlocks(const std::string& prefix, uint32_t num_blocks);
 
-/// One resident block: span views into the mapped file (pinned by
-/// keep_alive) plus the block-local alias tables. Row r of the local CSR
-/// is global node lo + r; sampled sources are global ids.
+/// One resident block: the alias tables over its node range [lo, hi) —
+/// the sampler class the in-memory builder uses for the whole graph —
+/// sampling global source ids straight out of the mapped file, which
+/// keep_alive pins.
 struct GraphBlock {
-  graph::NodeId lo = 0;
-  graph::NodeId hi = 0;
-  std::span<const uint64_t> in_offsets;  // local; hi - lo + 1 entries
-  std::span<const graph::NodeId> in_sources;
-  std::span<const double> in_weights;
-  std::unique_ptr<graph::AliasSlice> alias;
+  graph::AliasSampler alias;
   std::shared_ptr<const store::MappedFile> keep_alive;
 };
 

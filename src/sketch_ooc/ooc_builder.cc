@@ -24,49 +24,37 @@ struct WalkTask {
   Rng rng;
 };
 
-/// Where an advanced walk went: terminated, or parked on another block.
+/// Where a walk that crossed a partition boundary was parked.
 struct Moved {
   uint32_t dest_block;
   WalkTask task;
 };
 
-/// Advances one walk inside `block` until it terminates (absorbed, no
-/// in-edges, or horizon exhausted) or its head leaves the block's node
-/// range with steps remaining. Replicates core::WalkEngine::Extend's RNG
-/// consumption exactly: per step, the stubbornness draw (skipped when
-/// d >= 1), then AliasSlice sampling — one UniformInt + one Uniform when
-/// the row has in-edges, nothing when it does not.
-/// Returns true when the walk crossed (out->dest_block / out->task set).
-bool AdvanceInBlock(WalkTask task, const GraphBlock& block,
-                    const opinion::Campaign& campaign,
-                    const PartitionPlan& plan, graph::NodeId* slab_row,
-                    uint32_t* length, Moved* out) {
-  while (task.steps_left > 0) {
-    const double d = campaign.stubbornness[task.current];
-    if (d >= 1.0 || (d > 0.0 && task.rng.Uniform() < d)) return false;
-    const graph::NodeId next =
-        block.alias->SampleInNeighbor(task.current - block.lo, &task.rng);
-    if (next == graph::AliasSlice::kNoNeighbor) return false;
-    slab_row[(*length)++] = next;
-    --task.steps_left;
-    task.current = next;
-    if ((next < block.lo || next >= block.hi) && task.steps_left > 0) {
-      out->dest_block = plan.BlockOf(next);
-      out->task = task;
-      return true;
-    }
-    if (next < block.lo || next >= block.hi) return false;  // done anyway
+/// The one scratch-block lifecycle: plans `graph` under `budget`, writes
+/// the block files under `prefix`, opens them, runs `fn(blocks)`, and
+/// removes the files on every path.
+template <typename Fn>
+Status WithScratchBlocks(const graph::Graph& graph, uint64_t budget,
+                         const std::string& prefix, Fn fn) {
+  auto plan = PlanByBudget(graph, budget);
+  if (!plan.ok()) return plan.status();
+  Status status = WriteBlocks(graph, *plan, prefix);
+  if (status.ok()) {
+    auto blocks = BlockSet::Open(prefix);
+    status = blocks.ok() ? fn(*blocks) : blocks.status();
   }
-  return false;
+  RemoveBlocks(prefix, plan->num_blocks());
+  return status;
 }
 
 /// The shared wave/round scheduler: generates `count` walks whose global
 /// sketch indices are `global_index(0) .. global_index(count - 1)`, calling
 /// `emit(assembled)` once per wave with the wave's walks in list order.
 /// BuildSketchSetOoc instantiates it with the identity mapping over
-/// 0..theta-1; RegenerateWalksOoc with a dirty-walk index list. Both
-/// produce per-walk bytes identical to the in-memory builder's, because
-/// each walk's entire trajectory comes from its own SketchWalkRng stream.
+/// 0..theta-1; RegenerateWalksOocFromGraph with a dirty-walk index list.
+/// Both produce per-walk bytes identical to the in-memory builder's: each
+/// walk draws from its own SketchWalkRng stream, and WalkEngine::Advance
+/// is the in-memory builder's step loop.
 template <typename IndexFn, typename EmitFn>
 Status RunWalkWaves(const BlockSet& blocks, const opinion::Campaign& campaign,
                     uint32_t horizon, uint64_t master_seed, uint64_t count,
@@ -84,7 +72,6 @@ Status RunWalkWaves(const BlockSet& blocks, const opinion::Campaign& campaign,
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
 
-  const uint64_t wave_walks = std::max<uint64_t>(options.wave_walks, 1);
   const uint64_t stride = static_cast<uint64_t>(horizon) + 1;
 
   std::vector<graph::NodeId> slab;
@@ -92,8 +79,9 @@ Status RunWalkWaves(const BlockSet& blocks, const opinion::Campaign& campaign,
   std::vector<std::vector<WalkTask>> queues(num_blocks);
   core::WalkBuffer assembled;
 
-  for (uint64_t wave_begin = 0; wave_begin < count; wave_begin += wave_walks) {
-    const uint64_t wave_count = std::min(wave_walks, count - wave_begin);
+  for (uint64_t wave_begin = 0; wave_begin < count;
+       wave_begin += kOocWaveWalks) {
+    const uint64_t wave_count = std::min(kOocWaveWalks, count - wave_begin);
     ++local_stats->waves;
     slab.resize(wave_count * stride);
     lengths.assign(wave_count, 0);
@@ -102,9 +90,8 @@ Status RunWalkWaves(const BlockSet& blocks, const opinion::Campaign& campaign,
     // block owning that node.
     uint64_t remaining = wave_count;
     for (uint64_t local = 0; local < wave_count; ++local) {
-      Rng rng =
-          core::SketchWalkRng(master_seed, global_index(wave_begin + local));
-      const auto start = static_cast<graph::NodeId>(rng.UniformInt(n));
+      const auto [start, rng] = core::StartSketchWalk(
+          master_seed, global_index(wave_begin + local), n);
       slab[local * stride] = start;
       lengths[local] = 1;
       if (horizon == 0) {
@@ -128,6 +115,7 @@ Status RunWalkWaves(const BlockSet& blocks, const opinion::Campaign& campaign,
         if (!block.ok()) return block.status();
         ++local_stats->block_loads;
 
+        const core::WalkEngine engine(campaign, block->alias);
         active.swap(queues[b]);
         queues[b].clear();
         // Walks crossing back into b during this drain start a fresh batch
@@ -144,12 +132,14 @@ Status RunWalkWaves(const BlockSet& blocks, const opinion::Campaign& campaign,
           const size_t begin = c * chunk_size;
           const size_t end = std::min(active.size(), begin + chunk_size);
           for (size_t i = begin; i < end; ++i) {
-            const WalkTask& task = active[i];
-            Moved out;
-            if (AdvanceInBlock(task, *block, campaign, plan,
-                               slab.data() + task.local * stride,
-                               &lengths[task.local], &out)) {
-              moved[c].push_back(out);
+            WalkTask task = active[i];
+            graph::NodeId* row = slab.data() + task.local * stride;
+            lengths[task.local] = static_cast<uint32_t>(
+                engine.Advance(&task.current, &task.steps_left, &task.rng,
+                               row + lengths[task.local]) -
+                row);
+            if (task.steps_left > 0) {
+              moved[c].push_back({plan.BlockOf(task.current), task});
             } else {
               ++terminated[c];
             }
@@ -218,48 +208,44 @@ Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOoc(
   return walks;
 }
 
-Status RegenerateWalksOoc(const BlockSet& blocks,
-                          const opinion::Campaign& campaign, uint32_t horizon,
-                          uint64_t master_seed,
-                          std::span<const uint64_t> walk_indices,
-                          const OocBuildOptions& options,
-                          core::WalkBuffer* out, OocBuildStats* stats) {
-  VOTEOPT_RETURN_IF_ERROR(campaign.Validate(blocks.num_nodes()));
-  OocBuildStats local_stats;
-  VOTEOPT_RETURN_IF_ERROR(RunWalkWaves(
-      blocks, campaign, horizon, master_seed, walk_indices.size(), options,
-      &local_stats, [walk_indices](uint64_t i) { return walk_indices[i]; },
-      [out](const core::WalkBuffer& wave) {
-        out->nodes.insert(out->nodes.end(), wave.nodes.begin(),
-                          wave.nodes.end());
-        out->lengths.insert(out->lengths.end(), wave.lengths.begin(),
-                            wave.lengths.end());
-      }));
-  if (stats) *stats = local_stats;
-  return Status::OK();
-}
-
 Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOocFromGraph(
     const graph::Graph& graph, const opinion::Campaign& campaign,
     uint32_t horizon, uint64_t theta, uint64_t master_seed,
     uint64_t block_budget_bytes, const std::string& scratch_prefix,
     const OocBuildOptions& options, OocBuildStats* stats) {
-  auto plan = PlanByBudget(graph, block_budget_bytes);
-  if (!plan.ok()) return plan.status();
-  const uint32_t num_blocks = plan->num_blocks();
-  if (Status st = WriteBlocks(graph, *plan, scratch_prefix); !st.ok()) {
-    RemoveBlocks(scratch_prefix, num_blocks);
-    return st;
-  }
-  auto blocks = BlockSet::Open(scratch_prefix);
-  if (!blocks.ok()) {
-    RemoveBlocks(scratch_prefix, num_blocks);
-    return blocks.status();
-  }
-  auto result = BuildSketchSetOoc(*blocks, campaign, horizon, theta,
-                                  master_seed, options, stats);
-  RemoveBlocks(scratch_prefix, num_blocks);
-  return result;
+  std::unique_ptr<core::WalkSet> walks;
+  VOTEOPT_RETURN_IF_ERROR(WithScratchBlocks(
+      graph, block_budget_bytes, scratch_prefix, [&](const BlockSet& blocks) {
+        auto built = BuildSketchSetOoc(blocks, campaign, horizon, theta,
+                                       master_seed, options, stats);
+        if (!built.ok()) return built.status();
+        walks = std::move(built).value();
+        return Status::OK();
+      }));
+  return walks;
+}
+
+Status RegenerateWalksOocFromGraph(
+    const graph::Graph& graph, const opinion::Campaign& campaign,
+    uint32_t horizon, uint64_t master_seed,
+    std::span<const uint64_t> walk_indices, uint64_t block_budget_bytes,
+    const std::string& scratch_prefix, const OocBuildOptions& options,
+    core::WalkBuffer* out) {
+  VOTEOPT_RETURN_IF_ERROR(campaign.Validate(graph.num_nodes()));
+  return WithScratchBlocks(
+      graph, block_budget_bytes, scratch_prefix, [&](const BlockSet& blocks) {
+        OocBuildStats stats;
+        return RunWalkWaves(
+            blocks, campaign, horizon, master_seed, walk_indices.size(),
+            options, &stats,
+            [walk_indices](uint64_t i) { return walk_indices[i]; },
+            [out](const core::WalkBuffer& wave) {
+              out->nodes.insert(out->nodes.end(), wave.nodes.begin(),
+                                wave.nodes.end());
+              out->lengths.insert(out->lengths.end(), wave.lengths.begin(),
+                                  wave.lengths.end());
+            });
+      });
 }
 
 }  // namespace voteopt::sketch_ooc

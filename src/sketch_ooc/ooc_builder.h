@@ -4,23 +4,25 @@
 // in-memory core::BuildSketchSet for the same (master_seed, theta) —
 // determinism ledger entry #7 in docs/ARCHITECTURE.md.
 //
-// Why bit-identity holds: walk j draws its start and every transition from
-// its own stream core::SketchWalkRng(master_seed, j) (walk_engine.h), and
-// the block-local AliasSlice tables consume that stream exactly as the
-// full-graph AliasSampler does. A walk's trajectory is therefore a pure
-// function of (master_seed, j) — the scheduler may suspend a walk at a
-// partition boundary, park it on the destination block's queue, and resume
-// it whenever that block is resident, in any order, on any thread, without
-// changing a single byte of the result. Walks are reassembled in walk-index
-// order, which is the in-memory builder's order.
+// Why bit-identity holds: this is a second scheduler over the in-memory
+// builder's own pieces. Walk j opens its stream with core::StartSketchWalk,
+// and every step runs core::WalkEngine::Advance over the resident block's
+// graph::AliasSampler — the same class, built by the same per-row Vose
+// code, that the in-memory builder samples the whole graph with. A walk's
+// trajectory is therefore a pure function of (master_seed, j) — the
+// scheduler may suspend a walk where Advance stops it at a partition
+// boundary, park it on the destination block's queue, and resume it
+// whenever that block is resident, in any order, on any thread, without
+// changing a single byte of the result. Walks are reassembled in
+// walk-index order, which is the in-memory builder's order.
 //
-// Scheduling: walks are seeded in waves (bounding resident trajectory
-// memory), each wave's walks are parked on the block owning their current
-// node, and rounds sweep the blocks in the fixed order 0 .. P-1, advancing
-// every parked walk until it terminates or crosses into another block.
-// Campaign arrays (stubbornness, initial opinions) are n-sized and stay in
-// core; the graph's in-CSR + alias tables — the scale-dominant state — page
-// in per block.
+// Scheduling: walks are seeded in waves of kOocWaveWalks (bounding resident
+// trajectory memory), each wave's walks are parked on the block owning
+// their current node, and rounds sweep the blocks in the fixed order
+// 0 .. P-1, advancing every parked walk until it terminates or crosses
+// into another block. Campaign arrays (stubbornness, initial opinions) are
+// n-sized and stay in core; the graph's in-CSR + alias tables — the
+// scale-dominant state — page in per block.
 #ifndef VOTEOPT_SKETCH_OOC_OOC_BUILDER_H_
 #define VOTEOPT_SKETCH_OOC_OOC_BUILDER_H_
 
@@ -37,14 +39,15 @@
 
 namespace voteopt::sketch_ooc {
 
+/// Walks seeded per wave. Resident walk state is
+/// kOocWaveWalks * (horizon + 2) node ids plus O(kOocWaveWalks) task
+/// records, independent of theta.
+inline constexpr uint64_t kOocWaveWalks = uint64_t{1} << 16;
+
 struct OocBuildOptions {
   /// Worker threads for within-block advancement: 0 = one per hardware
   /// thread, 1 = run inline. Never changes the output.
   uint32_t num_threads = 0;
-  /// Walks seeded per wave. Resident walk state is
-  /// wave_walks * (horizon + 2) node ids plus O(wave_walks) task records,
-  /// independent of theta. A pure scheduling knob.
-  uint64_t wave_walks = 1 << 16;
 };
 
 /// Diagnostics of one OOC build (scheduling-dependent; the WalkSet is not).
@@ -69,8 +72,7 @@ Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOoc(
 /// One-call convenience for callers holding an in-memory graph (the
 /// registry's `block_budget_bytes` path): plans a budget-driven partition,
 /// writes the block files under `scratch_prefix`, builds, and removes the
-/// scratch files (kept on failure for post-mortems only when writing
-/// succeeded but the build failed).
+/// scratch files on every path, failures included.
 Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOocFromGraph(
     const graph::Graph& graph, const opinion::Campaign& campaign,
     uint32_t horizon, uint64_t theta, uint64_t master_seed,
@@ -78,19 +80,19 @@ Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOocFromGraph(
     const OocBuildOptions& options, OocBuildStats* stats = nullptr);
 
 /// Regenerates exactly the walks listed in `walk_indices` (global sketch
-/// walk indices) against the opened block set, appending their node
+/// walk indices) over scratch blocks of `graph` — planned, written and
+/// removed like BuildSketchSetOocFromGraph's — appending their node
 /// sequences to `out` in list order. Because walk j is a pure function of
 /// (master_seed, j, horizon) and the graph, each regenerated walk is
 /// byte-identical to what a full (in-memory or OOC) build over the same
 /// graph would produce for that index — the block-aware half of the
-/// incremental sketch repairer (dyn/repair.h). Scheduling knobs in
-/// `options` never change the output.
-Status RegenerateWalksOoc(const BlockSet& blocks,
-                          const opinion::Campaign& campaign, uint32_t horizon,
-                          uint64_t master_seed,
-                          std::span<const uint64_t> walk_indices,
-                          const OocBuildOptions& options,
-                          core::WalkBuffer* out, OocBuildStats* stats = nullptr);
+/// incremental sketch repairer (dyn/repair.h).
+Status RegenerateWalksOocFromGraph(
+    const graph::Graph& graph, const opinion::Campaign& campaign,
+    uint32_t horizon, uint64_t master_seed,
+    std::span<const uint64_t> walk_indices, uint64_t block_budget_bytes,
+    const std::string& scratch_prefix, const OocBuildOptions& options,
+    core::WalkBuffer* out);
 
 }  // namespace voteopt::sketch_ooc
 

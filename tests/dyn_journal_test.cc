@@ -6,6 +6,7 @@
 // DatasetRegistry::Load replaying the journal over the base bundle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -308,6 +309,72 @@ TEST_F(DynCrashRecoveryTest, OpinionOnlyCommitThenEdgeCommitStaysExact) {
     if (response.dirty_nodes > 0) {
       ExpectSameFrozenBytes(*rebuilt, (*engine)->walks());
     }
+  }
+}
+
+TEST_F(DynCrashRecoveryTest, BudgetedReplayRepairsOutOfCore) {
+  // Regression: Load's journal replay ignored block_budget_bytes, so a
+  // server configured out of core repaired in memory on every restart and
+  // kept whole-graph alias tables afterwards. Replay must repair the way a
+  // live commit does — through the block scheduler, leaving no alias
+  // tables — and answer exactly like an in-memory replay.
+  const graph::Graph& g = dataset_.influence;
+  const uint32_t n = g.num_nodes();
+  std::vector<Mutation> edits;
+  for (uint32_t u = 0; u < n && edits.size() < 40; ++u) {
+    const uint32_t v = (u * 37 + 11) % n;
+    const auto out = g.OutNeighbors(u);
+    if (u == v || std::find(out.begin(), out.end(), v) != out.end()) continue;
+    edits.push_back(Mutation::EdgeAdd(u, v, 1.0 + 0.125 * (u % 5)));
+  }
+  ASSERT_EQ(edits.size(), 40u);
+  {
+    auto engine = api::Engine::Open(Options());
+    ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+    for (size_t i = 0; i < edits.size(); i += 10) {
+      api::Response r = (*engine)->Execute(api::Request::Mutate(
+          std::vector<Mutation>(edits.begin() + i, edits.begin() + i + 10)));
+      ASSERT_TRUE(r.ok) << r.error;
+    }
+  }
+
+  api::EngineOptions budgeted = Options();
+  budgeted.load.block_budget_bytes = 4096;
+  budgeted.load.ooc_scratch_prefix =
+      ::testing::TempDir() + "/dyn_crash_replay_scratch";
+  auto ooc = api::Engine::Open(budgeted);
+  ASSERT_TRUE(ooc.ok()) << ooc.status().ToString();
+  auto mem = api::Engine::Open(Options());
+  ASSERT_TRUE(mem.ok()) << mem.status().ToString();
+
+  auto ooc_entry = (*ooc)->registry().Resolve("");
+  ASSERT_TRUE(ooc_entry.ok());
+  EXPECT_EQ((*ooc_entry)->alias, nullptr)
+      << "a budgeted replay must not build whole-graph alias tables";
+  auto mem_entry = (*mem)->registry().Resolve("");
+  ASSERT_TRUE(mem_entry.ok());
+  EXPECT_NE((*mem_entry)->alias, nullptr);
+
+  ExpectSameFrozenBytes((*mem)->walks(), (*ooc)->walks());
+  const std::vector<api::Request> probes = {
+      api::Request::TopK(5, voting::ScoreSpec::Cumulative()),
+      api::Request::TopK(4, voting::ScoreSpec::Plurality()),
+      api::Request::TopK(3, voting::ScoreSpec::Copeland()),
+      api::Request::Evaluate({1, 2, 3}, voting::ScoreSpec::Cumulative()),
+  };
+  for (const api::Request& probe : probes) {
+    const api::Response a = (*mem)->Execute(probe);
+    const api::Response b = (*ooc)->Execute(probe);
+    ASSERT_TRUE(a.ok) << a.error;
+    EXPECT_EQ(a.ToStableJson(), b.ToStableJson());
+  }
+  // The replay's scratch block files are gone.
+  for (const auto& file :
+       std::filesystem::directory_iterator(::testing::TempDir())) {
+    EXPECT_NE(file.path().filename().string().rfind(
+                  "dyn_crash_replay_scratch", 0),
+              0u)
+        << file.path();
   }
 }
 

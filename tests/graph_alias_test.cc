@@ -91,18 +91,19 @@ TEST(AliasSamplerTest, ProbabilitiesSumToOnePerNode) {
   }
 }
 
-// --- AliasSlice: the block-local alias tables backing sketch_ooc/ must be
-// bit-identical in behavior to the full-graph AliasSampler, because the
-// determinism ledger's OOC == in-memory guarantee (entry #7) rests on the
-// two consuming the same RNG stream identically. ---
+// --- Sub-range samplers: the per-block tables of sketch_ooc/ are this same
+// class built over a node range, and must behave bit-identically to the
+// whole-graph sampler on every row they share, because the determinism
+// ledger's OOC == in-memory guarantee (entry #7) rests on the two
+// consuming the same RNG stream identically. ---
 
-TEST(AliasSliceTest, SliceSamplesBitIdenticalToFullSampler) {
+TEST(AliasSamplerRangeTest, SubRangeSamplesBitIdenticalToFullSampler) {
   Rng graph_rng(123);
   InteractionCounts counts;
   Graph g = ErdosRenyiDigraph(60, 500, counts, &graph_rng).NormalizedIncoming();
   AliasSampler full(g);
 
-  // Slice over an arbitrary node range [lo, hi): rebase the in-CSR spans
+  // Sampler over an arbitrary node range [lo, hi): rebase the in-CSR spans
   // exactly as sketch_ooc::WriteBlocks does.
   const NodeId lo = 13, hi = 47;
   const auto offsets = g.InOffsets();
@@ -112,50 +113,54 @@ TEST(AliasSliceTest, SliceSamplesBitIdenticalToFullSampler) {
     local_offsets[v - lo] = offsets[v] - edge_begin;
   }
   const uint64_t num_local = local_offsets.back();
-  AliasSlice slice(local_offsets,
-                   g.InSources().subspan(edge_begin, num_local),
-                   g.InWeightsRaw().subspan(edge_begin, num_local));
+  AliasSampler range(lo, local_offsets,
+                     g.InSources().subspan(edge_begin, num_local),
+                     g.InWeightsRaw().subspan(edge_begin, num_local));
+  EXPECT_EQ(range.lo(), lo);
+  EXPECT_EQ(range.hi(), hi);
+  EXPECT_FALSE(range.Contains(lo - 1));
+  EXPECT_TRUE(range.Contains(lo));
+  EXPECT_TRUE(range.Contains(hi - 1));
+  EXPECT_FALSE(range.Contains(hi));
 
   // Same RNG stream through both samplers: every draw must agree exactly,
   // including the empty-row sentinel.
   for (NodeId v = lo; v < hi; ++v) {
     Rng full_rng(v * 7919 + 1);
-    Rng slice_rng(v * 7919 + 1);
+    Rng range_rng(v * 7919 + 1);
     for (int i = 0; i < 200; ++i) {
-      const NodeId expect = full.SampleInNeighbor(v, &full_rng);
-      const NodeId got = slice.SampleInNeighbor(v - lo, &slice_rng);
-      ASSERT_EQ(got, expect == AliasSampler::kNoNeighbor
-                         ? AliasSlice::kNoNeighbor
-                         : expect)
+      ASSERT_EQ(range.SampleInNeighbor(v, &range_rng),
+                full.SampleInNeighbor(v, &full_rng))
           << "node " << v << " draw " << i;
     }
     // And the streams themselves stay in lockstep (same number of draws).
-    ASSERT_EQ(full_rng.Next(), slice_rng.Next()) << "node " << v;
+    ASSERT_EQ(full_rng.Next(), range_rng.Next()) << "node " << v;
+    for (size_t slot = 0; slot < g.InDegree(v); ++slot) {
+      ASSERT_EQ(range.Probability(v, slot), full.Probability(v, slot));
+    }
   }
 }
 
-TEST(AliasSliceTest, WholeGraphSliceMatchesEverywhere) {
-  // Degenerate single-block plan: the slice covers all of [0, n).
+TEST(AliasSamplerRangeTest, WholeRangeMatchesEverywhere) {
+  // Degenerate single-block plan: the explicit range covers all of [0, n).
   Rng graph_rng(7);
   InteractionCounts counts;
   Graph g = ErdosRenyiDigraph(40, 250, counts, &graph_rng).NormalizedIncoming();
   AliasSampler full(g);
-  AliasSlice slice(g.InOffsets(), g.InSources(), g.InWeightsRaw());
+  AliasSampler range(0, g.InOffsets(), g.InSources(), g.InWeightsRaw());
+  EXPECT_EQ(range.hi(), g.num_nodes());
   Rng a(42), b(42);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
     for (int i = 0; i < 50; ++i) {
-      const NodeId expect = full.SampleInNeighbor(v, &a);
-      const NodeId got = slice.SampleInNeighbor(v, &b);
-      ASSERT_EQ(got, expect == AliasSampler::kNoNeighbor
-                         ? AliasSlice::kNoNeighbor
-                         : expect);
+      ASSERT_EQ(range.SampleInNeighbor(v, &b), full.SampleInNeighbor(v, &a));
     }
   }
 }
 
-TEST(AliasSliceTest, SingleNodeSliceMatches) {
-  // The pathological one-node-per-block partition reduces every slice to
-  // one row; it must still agree with the full sampler.
+TEST(AliasSamplerRangeTest, SingleNodeRangesMatch) {
+  // The pathological one-node-per-block partition reduces every range to
+  // one row; it must still agree with the full sampler, the empty row 0
+  // included.
   GraphBuilder b(4);
   b.AddEdge(0, 3, 0.1);
   b.AddEdge(1, 3, 0.3);
@@ -167,16 +172,14 @@ TEST(AliasSliceTest, SingleNodeSliceMatches) {
   for (NodeId v = 0; v < 4; ++v) {
     const uint64_t begin = offsets[v], end = offsets[v + 1];
     const std::vector<uint64_t> local = {0, end - begin};
-    AliasSlice slice(local, g->InSources().subspan(begin, end - begin),
-                     g->InWeightsRaw().subspan(begin, end - begin));
+    AliasSampler range(v, local, g->InSources().subspan(begin, end - begin),
+                       g->InWeightsRaw().subspan(begin, end - begin));
+    EXPECT_EQ(range.hi(), v + 1);
     Rng x(v + 1), y(v + 1);
     for (int i = 0; i < 100; ++i) {
-      const NodeId expect = full.SampleInNeighbor(v, &x);
-      const NodeId got = slice.SampleInNeighbor(0, &y);
-      ASSERT_EQ(got, expect == AliasSampler::kNoNeighbor
-                         ? AliasSlice::kNoNeighbor
-                         : expect);
+      ASSERT_EQ(range.SampleInNeighbor(v, &y), full.SampleInNeighbor(v, &x));
     }
+    ASSERT_EQ(x.Next(), y.Next()) << "node " << v;
   }
 }
 

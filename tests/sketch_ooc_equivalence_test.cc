@@ -72,10 +72,14 @@ class SketchOocEquivalenceTest : public ::testing::Test {
   std::string prefix_;
 };
 
+// Three waves per build (two full, one of 17 walks), so wave boundaries
+// are crossed on every plan.
+constexpr uint64_t kThreeWaveTheta = 2 * kOocWaveWalks + 17;
+
 TEST_F(SketchOocEquivalenceTest, BitIdenticalAcrossBlockAndThreadCounts) {
   constexpr uint32_t kNodes = 120;
   constexpr uint32_t kHorizon = 6;
-  constexpr uint64_t kTheta = 4000;
+  constexpr uint64_t kTheta = kThreeWaveTheta;
   constexpr uint64_t kSeed = 99;
   auto inst = MakeRandomInstance(kNodes, 700, 2, 41);
   opinion::FJModel model(inst.graph);
@@ -99,7 +103,6 @@ TEST_F(SketchOocEquivalenceTest, BitIdenticalAcrossBlockAndThreadCounts) {
     for (const uint32_t threads : {1u, 2u, 4u}) {
       OocBuildOptions options;
       options.num_threads = threads;
-      options.wave_walks = 1024;  // several waves per build
       OocBuildStats stats;
       auto ooc = BuildSketchSetOoc(*blocks, inst.state.campaigns[0], kHorizon,
                                    kTheta, kSeed, options, &stats);
@@ -108,6 +111,7 @@ TEST_F(SketchOocEquivalenceTest, BitIdenticalAcrossBlockAndThreadCounts) {
                    " threads=" + std::to_string(threads));
       ExpectBitIdentical(*reference, **ooc);
       EXPECT_EQ(stats.num_blocks, num_blocks);
+      EXPECT_EQ(stats.waves, 3u);
       if (num_blocks > 1) EXPECT_GT(stats.boundary_hops, 0u);
     }
     RemoveBlocks(prefix_, num_blocks);
@@ -116,7 +120,7 @@ TEST_F(SketchOocEquivalenceTest, BitIdenticalAcrossBlockAndThreadCounts) {
 
 TEST_F(SketchOocEquivalenceTest, SeedSelectionMatchesForAllFiveRules) {
   constexpr uint32_t kHorizon = 5;
-  constexpr uint64_t kTheta = 6000;
+  constexpr uint64_t kTheta = kThreeWaveTheta;
   constexpr uint64_t kSeed = 7;
   auto inst = MakeRandomInstance(80, 450, 3, 53);
   opinion::FJModel model(inst.graph);
@@ -129,7 +133,6 @@ TEST_F(SketchOocEquivalenceTest, SeedSelectionMatchesForAllFiveRules) {
 
   OocBuildOptions options;
   options.num_threads = 2;
-  options.wave_walks = 2048;
 
   core::SketchBuildOptions mem_options;
   mem_options.num_threads = 4;
@@ -159,6 +162,35 @@ TEST_F(SketchOocEquivalenceTest, SeedSelectionMatchesForAllFiveRules) {
         core::EstimatedGreedySelect(ev, 5, ooc->get(), greedy);
     EXPECT_EQ(mem_pick.seeds, ooc_pick.seeds);
     EXPECT_DOUBLE_EQ(mem_pick.score, ooc_pick.score);
+  }
+}
+
+TEST_F(SketchOocEquivalenceTest, SchedulingStatsArePinned) {
+  // Byte equality cannot see HOW the scheduler got there: a walk parked
+  // after its last step, or a changed sweep order, wave size or chunk
+  // merge order, leaves the WalkSet intact but moves these counts — the
+  // ones the benchmark reports as sketch_ooc.{rounds,block_loads,
+  // boundary_hops}. They do not depend on the thread count.
+  auto inst = MakeRandomInstance(200, 1300, 2, 83);
+  auto plan = PlanByCount(inst.graph, 5);
+  ASSERT_TRUE(plan.ok());
+  ASSERT_TRUE(WriteBlocks(inst.graph, *plan, prefix_).ok());
+  auto blocks = BlockSet::Open(prefix_);
+  ASSERT_TRUE(blocks.ok()) << blocks.status().ToString();
+  for (const uint32_t threads : {1u, 3u}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    OocBuildOptions options;
+    options.num_threads = threads;
+    OocBuildStats stats;
+    auto ooc = BuildSketchSetOoc(*blocks, inst.state.campaigns[0],
+                                 /*horizon=*/7, kThreeWaveTheta,
+                                 /*master_seed=*/2024, options, &stats);
+    ASSERT_TRUE(ooc.ok()) << ooc.status().ToString();
+    EXPECT_EQ(stats.num_blocks, 5u);
+    EXPECT_EQ(stats.waves, 3u);
+    EXPECT_EQ(stats.rounds, 14u);
+    EXPECT_EQ(stats.block_loads, 61u);
+    EXPECT_EQ(stats.boundary_hops, 110313u);
   }
 }
 
