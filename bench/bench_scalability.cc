@@ -170,9 +170,8 @@ int main(int argc, char** argv) {
     //   --ooc_bench=0            skip the tier
     //   --ooc_nodes=<int>        instance size (default 1,000,000)
     //   --ooc_theta=<int>        walks (default 2^20)
-    //   --ooc_block_budget_kb=N  per-block resident budget (default 8192,
-    //                            i.e. 8 MiB -> 6 blocks at n = 10^6)
-    //   --ooc_scratch=<prefix>   block-file scratch location
+    //   --ooc_block_budget_kb=N  per-block budget (default 8192, i.e.
+    //                            8 MiB -> 6 blocks at n = 10^6)
     std::ostringstream ooc_json;
     if (options.GetBool("ooc_bench", true)) {
       const auto ooc_nodes =
@@ -182,8 +181,6 @@ int main(int argc, char** argv) {
       const uint64_t budget_bytes =
           static_cast<uint64_t>(options.GetInt("ooc_block_budget_kb", 8192))
           << 10;
-      const std::string scratch = options.GetString(
-          "ooc_scratch", "/tmp/voteopt_bench_ooc");
       const double ooc_scale =
           static_cast<double>(ooc_nodes) /
           datasets::DefaultNumNodes(datasets::DatasetName::kTwitterDistancing);
@@ -197,7 +194,7 @@ int main(int argc, char** argv) {
       WallTimer timer;
       auto walks = sketch_ooc::BuildSketchSetOocFromGraph(
           big.influence, campaign, env.horizon, ooc_theta, kOocMasterSeed,
-          budget_bytes, scratch, {}, &stats);
+          budget_bytes, /*scratch_prefix=*/"", {}, &stats);
       const double ooc_seconds = timer.Seconds();
       if (!walks.ok()) {
         std::cerr << "ooc tier failed: " << walks.status().ToString() << "\n";

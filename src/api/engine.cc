@@ -716,14 +716,9 @@ Response Engine::HandleMutate(const Request& request) {
     WallTimer repair_timer;
     dyn::RepairOptions repair;
     repair.num_threads = options_.load.build_threads;
-    if (options_.load.block_budget_bytes > 0) {
-      // The server is configured for out-of-core builds; repair replays
-      // the dirty walks through the same block scheduler under a unique
-      // scratch prefix (removed by Repair on every path).
-      repair.block_budget_bytes = options_.load.block_budget_bytes;
-      repair.ooc_scratch_prefix = OocScratchPrefix(
-          options_.load.ooc_scratch_prefix, base->bundle_prefix);
-    }
+    // A server configured for out-of-core builds (budget > 0) replays the
+    // dirty walks through the same block scheduler.
+    repair.block_budget_bytes = options_.load.block_budget_bytes;
     auto outcome = dyn::SketchRepairer::Repair(
         *base->sketch, next->dataset.influence,
         next->dataset.state.campaigns[next->meta.target], base->meta,

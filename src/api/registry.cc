@@ -1,7 +1,5 @@
 #include "api/registry.h"
 
-#include <atomic>
-#include <cstdio>
 #include <filesystem>
 #include <utility>
 
@@ -50,17 +48,6 @@ uint64_t BundleFingerprint(const datasets::Dataset& dataset) {
   return store::Fnv1a64(digests.data(), digests.size() * sizeof(uint64_t));
 }
 
-std::string OocScratchPrefix(const std::string& configured,
-                             const std::string& bundle_prefix) {
-  static std::atomic<uint64_t> scratch_counter{0};
-  std::string base = configured;
-  if (base.empty() && !bundle_prefix.empty()) base = bundle_prefix + ".oocblk";
-  if (base.empty()) {
-    base = (std::filesystem::temp_directory_path() / "voteopt_ooc").string();
-  }
-  return base + "." + std::to_string(scratch_counter.fetch_add(1));
-}
-
 namespace {
 
 /// The inline sketch build shared by Load's build fallback and Host: fills
@@ -74,8 +61,6 @@ Status BuildSketchInline(DatasetEntry* entry, uint64_t theta, uint32_t horizon,
                          uint32_t target, uint32_t num_threads,
                          uint64_t rng_seed, uint64_t fingerprint,
                          uint64_t block_budget_bytes,
-                         const std::string& ooc_scratch_prefix,
-                         const std::string& bundle_prefix,
                          obs::Registry* metrics) {
   if (target >= entry->dataset.state.num_candidates()) {
     return Status::InvalidArgument(
@@ -100,15 +85,14 @@ Status BuildSketchInline(DatasetEntry* entry, uint64_t theta, uint32_t horizon,
     auto built = sketch_ooc::BuildSketchSetOocFromGraph(
         entry->dataset.influence, entry->dataset.state.campaigns[target],
         horizon, theta, rng_seed, block_budget_bytes,
-        OocScratchPrefix(ooc_scratch_prefix, bundle_prefix), ooc_options,
-        &ooc_stats);
+        /*scratch_prefix=*/"", ooc_options, &ooc_stats);
     if (!built.ok()) return built.status();
     entry->sketch = std::move(built).value();
     if (metrics != nullptr) {
       metrics
           ->GetCounter("voteopt_ooc_block_loads_total", {},
-                       "OOC sketch-build block loads (file map + validate + "
-                       "alias-table compile)")
+                       "OOC sketch-build block loads (alias-table compiles "
+                       "of a block's node range)")
           ->Increment(ooc_stats.block_loads);
       metrics
           ->GetCounter("voteopt_ooc_boundary_hops_total", {},
@@ -199,28 +183,13 @@ Result<std::shared_ptr<const DatasetEntry>> DatasetRegistry::Load(
             entry.get(), options.build_theta, options.build_horizon,
             entry->dataset.default_target, options.build_threads,
             options.rng_seed, fingerprint, options.block_budget_bytes,
-            options.ooc_scratch_prefix, options.bundle_prefix, metrics_);
+            metrics_);
         !st.ok()) {
       return st;
     }
     if (options.save_built_sketch) {
-      // Protocol-level loads run concurrently, and two of them may name
-      // the same bundle prefix: write to a unique temp path and rename
-      // into place so the persisted artifact is never a torn mix of two
-      // writers.
-      static std::atomic<uint64_t> save_counter{0};
-      const std::string tmp_path =
-          sketch_path + ".tmp" + std::to_string(save_counter.fetch_add(1));
-      if (Status st = store::SaveSketch(*entry->sketch, entry->meta, tmp_path);
-          !st.ok()) {
-        std::remove(tmp_path.c_str());  // don't leave a partial file behind
-        return st;
-      }
-      if (std::rename(tmp_path.c_str(), sketch_path.c_str()) != 0) {
-        std::remove(tmp_path.c_str());
-        return Status::IOError(
-            sketch_path + ": cannot move the freshly built sketch into place");
-      }
+      VOTEOPT_RETURN_IF_ERROR(
+          store::SaveSketch(*entry->sketch, entry->meta, sketch_path));
     }
   } else {
     return loaded.status();
@@ -270,11 +239,6 @@ Result<std::shared_ptr<const DatasetEntry>> DatasetRegistry::Load(
         dyn::RepairOptions repair_options;
         repair_options.num_threads = options.build_threads;
         repair_options.block_budget_bytes = options.block_budget_bytes;
-        if (options.block_budget_bytes > 0) {
-          repair_options.ooc_scratch_prefix =
-              OocScratchPrefix(options.ooc_scratch_prefix,
-                               options.bundle_prefix);
-        }
         auto repaired = dyn::SketchRepairer::Repair(
             *entry->sketch, entry->dataset.influence,
             entry->dataset.state.campaigns[entry->meta.target], entry->meta,
@@ -319,7 +283,7 @@ Result<std::shared_ptr<const DatasetEntry>> DatasetRegistry::Host(
           entry.get(), options.theta, options.horizon, target,
           options.num_threads, options.rng_seed,
           BundleFingerprint(entry->dataset), options.block_budget_bytes,
-          options.ooc_scratch_prefix, /*bundle_prefix=*/"", metrics_);
+          metrics_);
       !st.ok()) {
     return st;
   }

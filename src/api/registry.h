@@ -48,14 +48,6 @@ std::string EvaluatorSpecKey(const voting::ScoreSpec& spec);
 /// their base bundle (dyn/journal.h).
 uint64_t BundleFingerprint(const datasets::Dataset& dataset);
 
-/// A collision-free scratch prefix for one out-of-core sketch build or
-/// repair: `configured` when set, else next to the bundle
-/// (`<bundle_prefix>.oocblk`), else under the system temp directory — plus
-/// a process-wide sequence number, so concurrent loads and commits that
-/// share a base never collide.
-std::string OocScratchPrefix(const std::string& configured,
-                             const std::string& bundle_prefix);
-
 /// How to materialize one dataset: where the bundle lives and what to do
 /// when its sketch member is missing.
 struct DatasetLoadOptions {
@@ -71,21 +63,22 @@ struct DatasetLoadOptions {
   uint64_t build_theta = uint64_t{1} << 18;
   /// Horizon for a freshly built sketch (persisted files carry their own).
   uint32_t build_horizon = 20;
-  /// Persist a freshly built sketch next to the bundle.
+  /// Persist a freshly built sketch next to the bundle (written through
+  /// a temp file and renamed into place, so concurrent loads of one
+  /// bundle never leave a torn sketch).
   bool save_built_sketch = false;
   /// Sketch-builder threads (0 = one per hardware thread).
   uint32_t build_threads = 0;
   uint64_t rng_seed = 42;
 
   /// When > 0, a build fallback runs OUT OF CORE: the graph is partitioned
-  /// into node-range blocks of at most this many resident bytes
-  /// (sketch_ooc/), built block-at-a-time, and — by determinism ledger
-  /// entry #7 — yields the exact WalkSet the in-memory builder would.
-  /// 0 keeps the in-memory sharded builder.
+  /// into node-range blocks of at most this many estimated bytes
+  /// (sketch_ooc/), whose alias tables are compiled one block at a time,
+  /// and — by determinism ledger entry #7 — yields the exact WalkSet the
+  /// in-memory builder would. Mutation commits and journal replay then
+  /// repair out of core too. 0 keeps the in-memory sharded builder.
   uint64_t block_budget_bytes = 0;
-  /// Where OOC builds and repairs park their scratch block files (see
-  /// OocScratchPrefix); empty means next to the bundle. Cleaned up after
-  /// each run.
+  /// Ignored: out-of-core builds and repairs write no files.
   std::string ooc_scratch_prefix;
 };
 
@@ -150,12 +143,9 @@ struct HostOptions {
   uint64_t rng_seed = 42;
 
   /// When > 0, the inline build runs out of core under this per-block
-  /// resident-byte budget (see DatasetLoadOptions::block_budget_bytes);
-  /// the resulting sketch is bit-identical either way.
+  /// byte budget (see DatasetLoadOptions::block_budget_bytes); the
+  /// resulting sketch is bit-identical either way.
   uint64_t block_budget_bytes = 0;
-  /// Scratch prefix for the OOC block files; empty means a unique prefix
-  /// under the system temp directory. Cleaned up after the build.
-  std::string ooc_scratch_prefix;
 };
 
 class DatasetRegistry {

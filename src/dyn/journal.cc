@@ -1,7 +1,5 @@
 #include "dyn/journal.h"
 
-#include <atomic>
-#include <cstdio>
 #include <span>
 #include <utility>
 
@@ -32,20 +30,8 @@ Status SaveMutationLog(const std::string& path, uint64_t base_fingerprint,
   sections.push_back(store::MakeSection<MutationRecord>(
       "mutations", std::span<const MutationRecord>(records)));
 
-  // Write-temp + rename: the committed path never holds a torn file. The
-  // counter keeps concurrent commits (different datasets sharing a prefix
-  // directory) from clobbering each other's temp files.
-  static std::atomic<uint64_t> temp_counter{0};
-  const std::string temp =
-      path + ".tmp" + std::to_string(temp_counter.fetch_add(1));
-  Status written =
-      store::WriteSectionFile(temp, store::FileKind::kMutationLog, sections);
-  if (!written.ok()) return written;
-  if (std::rename(temp.c_str(), path.c_str()) != 0) {
-    std::remove(temp.c_str());
-    return Status::IOError("rename failed for mutation log " + path);
-  }
-  return Status::OK();
+  return store::WriteSectionFile(path, store::FileKind::kMutationLog,
+                                 sections);
 }
 
 Result<MutationJournal> LoadMutationLog(const std::string& path) {

@@ -1,14 +1,14 @@
 // Durable mutation journal: the store-format file (<bundle>.dynlog,
 // FileKind::kMutationLog) that makes committed mutations survive a restart.
 //
-// Crash-consistency discipline mirrors the sketch store: the journal is
-// rewritten in full on every commit via write-temp + atomic rename, so at
-// any instant the path holds either the previous committed log or the new
-// one — never a torn file. A crash mid-repair therefore loses at most the
-// uncommitted batch; reload replays the journal on top of the immutable
-// base bundle and deterministically reconstructs the exact pre-crash state
-// (ledger entry 10 makes the replayed sketch bit-identical to the one that
-// was live).
+// Crash-consistency discipline is the store writer's: the journal is
+// rewritten in full on every commit via write-temp + atomic rename
+// (store::WriteSectionFile), so at any instant the path holds either the
+// previous committed log or the new one — never a torn file. A crash
+// mid-repair therefore loses at most the uncommitted batch; reload
+// replays the journal on top of the immutable base bundle and
+// deterministically reconstructs the exact pre-crash state (ledger entry
+// 10 makes the replayed sketch bit-identical to the one that was live).
 //
 // The "meta" section pins the base bundle's fingerprint: a journal replayed
 // against a different or modified bundle fails with FailedPrecondition

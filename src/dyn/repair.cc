@@ -54,16 +54,11 @@ Result<RepairOutcome> SketchRepairer::Repair(
     if (options.block_budget_bytes > 0) {
       // Block-aware path: cut the patched graph into blocks and replay the
       // dirty walks through the OOC scheduler (same machinery, same bytes).
-      if (options.ooc_scratch_prefix.empty()) {
-        return Status::InvalidArgument(
-            "repair: block_budget_bytes set but no ooc_scratch_prefix");
-      }
       sketch_ooc::OocBuildOptions ooc_options;
       ooc_options.num_threads = options.num_threads;
       VOTEOPT_RETURN_IF_ERROR(sketch_ooc::RegenerateWalksOocFromGraph(
           patched, campaign, meta.horizon, meta.master_seed, dirty_indices,
-          options.block_budget_bytes, options.ooc_scratch_prefix, ooc_options,
-          &regen));
+          options.block_budget_bytes, ooc_options, &regen));
     } else {
       // In-memory path: alias tables over the patched graph, rebuilt at row
       // granularity when the pre-mutation tables are available, feeding

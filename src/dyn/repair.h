@@ -45,8 +45,7 @@ struct RepairOptions {
   /// this per-block byte budget (the path OOC-hosted datasets use); 0 uses
   /// the in-memory alias tables.
   uint64_t block_budget_bytes = 0;
-  /// Scratch prefix for the OOC path's block files (required when
-  /// block_budget_bytes > 0).
+  /// Ignored: the out-of-core path writes no files.
   std::string ooc_scratch_prefix;
 };
 

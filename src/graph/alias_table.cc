@@ -55,26 +55,25 @@ void BuildAliasRow(std::span<const double> weights, double* prob,
 }  // namespace
 
 AliasSampler::AliasSampler(const Graph& graph)
-    : AliasSampler(0, graph.InOffsets(), graph.InSources(),
-                   graph.InWeightsRaw()) {}
+    : AliasSampler(graph, 0, graph.num_nodes()) {}
 
-AliasSampler::AliasSampler(NodeId lo, std::span<const uint64_t> offsets,
-                           std::span<const NodeId> sources,
-                           std::span<const double> weights)
-    : lo_(lo),
-      hi_(lo + static_cast<NodeId>(offsets.size() - 1)),
-      sources_(sources),
-      prob_(weights.size(), 1.0),
-      alias_(weights.size(), 0),
-      offsets_(offsets.begin(), offsets.end()) {
-  assert(!offsets.empty() && offsets.front() == 0);
-  assert(sources.size() == weights.size());
-  assert(offsets.back() == weights.size());
+AliasSampler::AliasSampler(const Graph& graph, NodeId lo, NodeId hi)
+    : lo_(lo), hi_(hi) {
+  assert(lo <= hi && hi <= graph.num_nodes());
+  const auto offsets = graph.InOffsets().subspan(lo, hi - lo + 1);
+  const uint64_t edge_begin = offsets.front();
+  const uint64_t num_edges = offsets.back() - edge_begin;
+  sources_ = graph.InSources().subspan(edge_begin, num_edges);
+  const auto weights = graph.InWeightsRaw().subspan(edge_begin, num_edges);
+  prob_.assign(num_edges, 1.0);
+  alias_.assign(num_edges, 0);
+  offsets_.reserve(offsets.size());
+  for (const uint64_t offset : offsets) offsets_.push_back(offset - edge_begin);
   std::vector<uint32_t> small;
   std::vector<uint32_t> large;
   std::vector<double> scaled;
-  for (uint64_t row = 0; row + 1 < offsets.size(); ++row) {
-    const uint64_t begin = offsets[row], end = offsets[row + 1];
+  for (uint64_t row = 0; row + 1 < offsets_.size(); ++row) {
+    const uint64_t begin = offsets_[row], end = offsets_[row + 1];
     if (begin == end) continue;
     BuildAliasRow(weights.subspan(begin, end - begin), prob_.data() + begin,
                   alias_.data() + begin, &scaled, &small, &large);

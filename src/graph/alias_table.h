@@ -37,13 +37,10 @@ class AliasSampler {
   /// Tables over the whole graph: the range [0, n).
   explicit AliasSampler(const Graph& graph);
 
-  /// Tables over the in-CSR slice of the range [lo, lo + offsets.size() - 1):
-  /// `offsets` holds one entry per node plus one, rebased so offsets[0] ==
-  /// 0 (copied); `sources` / `weights` are the slice's concatenated in-edge
-  /// arrays, offsets.back() long. `sources` must outlive the sampler.
-  AliasSampler(NodeId lo, std::span<const uint64_t> offsets,
-               std::span<const NodeId> sources,
-               std::span<const double> weights);
+  /// Tables over the in-rows of the node range [lo, hi) of `graph`
+  /// (lo <= hi <= n), compiled from its in-CSR. Sampled sources are read
+  /// from `graph`, which must outlive the sampler.
+  AliasSampler(const Graph& graph, NodeId lo, NodeId hi);
 
   /// Incremental rebuild for dynamic graphs (src/dyn): whole-graph tables
   /// over `graph` where only the rows in `dirty_rows` (ascending, unique)
@@ -84,7 +81,7 @@ class AliasSampler {
  private:
   NodeId lo_ = 0;
   NodeId hi_ = 0;
-  // The range's in-edge sources (graph- or block-file-owned).
+  // The range's in-edge sources (graph-owned).
   std::span<const NodeId> sources_;
   // Parallel to sources_: acceptance probability and within-row alias
   // index.

@@ -93,7 +93,6 @@ size_t Batcher::InFlight() const {
 
 void Batcher::CoordinatorLoop() {
   MutexLock lock(&mutex_);
-  const auto coalesce = std::chrono::microseconds(options_.coalesce_micros);
   while (true) {
     if (stopping_) {
       // Drop still-queued tickets (the transport's connections are gone by
@@ -128,14 +127,10 @@ void Batcher::CoordinatorLoop() {
       }
     }
 
-    // Dispatch ready lane windows round-robin while executors are free. A
-    // pending barrier waives the coalescing wait: older tickets must
-    // flush so the barrier can run.
+    // Dispatch the next window of every non-empty lane, round-robin, while
+    // executors are free. Tickets at or after a pending barrier wait for it.
     bool dispatched = false;
-    bool have_deadline = false;
-    Clock::time_point deadline{};
     if (!lanes_.empty() && inflight_ < options_.num_executors) {
-      const Clock::time_point now = Clock::now();
       auto it = lanes_.upper_bound(last_lane_);
       for (size_t visited = 0;
            visited < lanes_.size() && inflight_ < options_.num_executors;
@@ -146,26 +141,12 @@ void Batcher::CoordinatorLoop() {
             lane.queue.front().global_seq >= barrier_seq) {
           continue;
         }
-        const Clock::time_point window_due =
-            lane.queue.front().admitted_at + coalesce;
-        const bool ready = lane.queue.size() >= options_.batch_max ||
-                           barrier_seq != kNoBarrier || now >= window_due;
-        if (ready) {
-          DispatchWindow(it->first, lane, barrier_seq);
-          last_lane_ = it->first;
-          dispatched = true;
-        } else if (!have_deadline || window_due < deadline) {
-          have_deadline = true;
-          deadline = window_due;
-        }
+        DispatchWindow(it->first, lane, barrier_seq);
+        last_lane_ = it->first;
+        dispatched = true;
       }
     }
-    if (dispatched) continue;
-    if (have_deadline && inflight_ < options_.num_executors) {
-      cv_.WaitUntil(&mutex_, deadline);
-    } else {
-      cv_.Wait(&mutex_);
-    }
+    if (!dispatched) cv_.Wait(&mutex_);
   }
 }
 

@@ -11,9 +11,10 @@
 //    ones refused, never an arbitrary victim.
 //
 //  * COALESCED DISPATCH. A coordinator thread drains lanes into
-//    Engine::ExecuteBatch windows (up to `batch_max` requests, waiting up
-//    to `coalesce_micros` for a window to fill when the lane just became
-//    busy) and hands each window to a bounded executor pool. Lanes are
+//    Engine::ExecuteBatch windows of up to `batch_max` requests and hands
+//    each window to a bounded executor pool as soon as one is free, so
+//    windows fill with the requests that arrived while every executor was
+//    busy — batching emerges under load, not from a wait. Lanes are
 //    round-robined and windows never mix datasets, so one dataset's slow
 //    minseed occupies one executor while other lanes keep flowing — it
 //    cannot starve another dataset's topk traffic.
@@ -60,12 +61,6 @@ struct BatcherOptions {
 
   /// Largest Engine::ExecuteBatch window assembled from one lane.
   size_t batch_max = 64;
-
-  /// How long a lane with a free executor waits for more requests before
-  /// dispatching a sub-batch_max window. 0 dispatches immediately —
-  /// batching still emerges under load, because requests arriving while
-  /// every executor is busy accumulate in their lane.
-  uint32_t coalesce_micros = 0;
 
   /// Engine batches in flight at once (>= 1). Each occupies one executor
   /// thread for the duration of its window; the engine's own worker pool

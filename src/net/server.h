@@ -82,8 +82,9 @@ struct ServerOptions {
   /// bound for a client that never reads).
   size_t max_write_buffer_bytes = 8u << 20;
 
-  /// Admission + coalescing knobs (queue depth, batch window, executor
-  /// pool); the metrics sink is overridden with the engine's registry.
+  /// Admission + batching knobs (queue depth, batch window, executor
+  /// pool). batch.metrics is used as given: the net_* families land there,
+  /// and null turns them off.
   BatcherOptions batch;
 };
 

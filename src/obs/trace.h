@@ -63,8 +63,6 @@ class Trace {
     WallTimer timer_;
   };
 
-  Span StartSpan(const char* stage) { return Span(this, stage); }
-
   /// Adds wall milliseconds to `stage.<stage>_ms` (accumulating: a stage
   /// entered twice — e.g. evaluation setup and final scoring — reports
   /// the total).

@@ -318,7 +318,7 @@ Result<dyn::Mutation> ParseMutationFields(const JsonValue& object,
 
 namespace serve {
 
-Result<Request> ParseRequest(const std::string& line) {
+Result<api::Request> ParseRequest(const std::string& line) {
   JsonParser parser(line);
   auto parsed = parser.Parse();
   if (!parsed.ok()) return parsed.status();
@@ -327,7 +327,7 @@ Result<Request> ParseRequest(const std::string& line) {
   }
   const JsonValue& object = *parsed;
 
-  Request request;
+  api::Request request;
   // The version gate runs BEFORE the op dispatch: a future-major request
   // whose verb this server has never heard of must fail with the version
   // message (telling the client what this server speaks), not with
@@ -352,31 +352,31 @@ Result<Request> ParseRequest(const std::string& line) {
     return Status::InvalidArgument("missing string field 'op'");
   }
   if (op->str == "topk") {
-    request.op = Request::Op::kTopK;
+    request.op = api::Request::Op::kTopK;
   } else if (op->str == "minseed") {
-    request.op = Request::Op::kMinSeed;
+    request.op = api::Request::Op::kMinSeed;
   } else if (op->str == "evaluate") {
-    request.op = Request::Op::kEvaluate;
+    request.op = api::Request::Op::kEvaluate;
   } else if (op->str == "methodcompare") {
-    request.op = Request::Op::kMethodCompare;
+    request.op = api::Request::Op::kMethodCompare;
   } else if (op->str == "rulesweep") {
-    request.op = Request::Op::kRuleSweep;
+    request.op = api::Request::Op::kRuleSweep;
   } else if (op->str == "load") {
-    request.op = Request::Op::kLoad;
+    request.op = api::Request::Op::kLoad;
   } else if (op->str == "unload") {
-    request.op = Request::Op::kUnload;
+    request.op = api::Request::Op::kUnload;
   } else if (op->str == "list") {
-    request.op = Request::Op::kList;
+    request.op = api::Request::Op::kList;
   } else if (op->str == "stats") {
-    request.op = Request::Op::kStats;
+    request.op = api::Request::Op::kStats;
   } else if (op->str == "edge_add") {
-    request.op = Request::Op::kEdgeAdd;
+    request.op = api::Request::Op::kEdgeAdd;
   } else if (op->str == "edge_del") {
-    request.op = Request::Op::kEdgeDel;
+    request.op = api::Request::Op::kEdgeDel;
   } else if (op->str == "set_opinion") {
-    request.op = Request::Op::kSetOpinion;
+    request.op = api::Request::Op::kSetOpinion;
   } else if (op->str == "mutate") {
-    request.op = Request::Op::kMutate;
+    request.op = api::Request::Op::kMutate;
   } else {
     return Status::InvalidArgument("unknown op '" + op->str + "'");
   }
@@ -488,12 +488,12 @@ Result<Request> ParseRequest(const std::string& line) {
       request.overrides.emplace_back(*user, pair.items[1].number);
     }
   }
-  if (request.op == Request::Op::kEdgeAdd ||
-      request.op == Request::Op::kEdgeDel ||
-      request.op == Request::Op::kSetOpinion) {
+  if (request.op == api::Request::Op::kEdgeAdd ||
+      request.op == api::Request::Op::kEdgeDel ||
+      request.op == api::Request::Op::kSetOpinion) {
     const dyn::Mutation::Kind kind =
-        request.op == Request::Op::kEdgeAdd ? dyn::Mutation::Kind::kEdgeAdd
-        : request.op == Request::Op::kEdgeDel
+        request.op == api::Request::Op::kEdgeAdd ? dyn::Mutation::Kind::kEdgeAdd
+        : request.op == api::Request::Op::kEdgeDel
             ? dyn::Mutation::Kind::kEdgeDel
             : dyn::Mutation::Kind::kSetOpinion;
     auto mutation = ParseMutationFields(object, kind);
@@ -502,7 +502,7 @@ Result<Request> ParseRequest(const std::string& line) {
   }
   if (const JsonValue* mutations = object.Find("mutations");
       mutations != nullptr) {
-    if (request.op != Request::Op::kMutate) {
+    if (request.op != api::Request::Op::kMutate) {
       return Status::InvalidArgument(
           "field 'mutations' is only valid for op 'mutate'");
     }
@@ -537,11 +537,11 @@ Result<Request> ParseRequest(const std::string& line) {
   return request;
 }
 
-std::string RequestToJson(const Request& request) {
+std::string RequestToJson(const api::Request& request) {
   std::ostringstream out;
   out.precision(17);
   out << "{\"op\": ";
-  AppendJsonString(&out, OpName(request.op));
+  AppendJsonString(&out, api::OpName(request.op));
   // Canonical form: fields at their defaults are omitted, so a v1 request
   // encodes exactly as a v1 client would have written it.
   if (request.v != 1) out << ", \"v\": " << request.v;
@@ -553,7 +553,7 @@ std::string RequestToJson(const Request& request) {
     out << ", \"dataset\": ";
     AppendJsonString(&out, request.dataset);
   }
-  const bool is_query = !IsAdminOp(request.op);
+  const bool is_query = !api::IsAdminOp(request.op);
   if (is_query && request.rule != "cumulative") {
     out << ", \"rule\": ";
     AppendJsonString(&out, request.rule);
@@ -575,15 +575,15 @@ std::string RequestToJson(const Request& request) {
     }
     out << "]";
   }
-  if (request.op == Request::Op::kTopK ||
-      request.op == Request::Op::kMethodCompare ||
-      request.op == Request::Op::kRuleSweep) {
+  if (request.op == api::Request::Op::kTopK ||
+      request.op == api::Request::Op::kMethodCompare ||
+      request.op == api::Request::Op::kRuleSweep) {
     out << ", \"k\": " << request.k;
   }
-  if (request.op == Request::Op::kMinSeed) {
+  if (request.op == api::Request::Op::kMinSeed) {
     out << ", \"k_max\": " << request.k_max;
   }
-  if (request.op == Request::Op::kEvaluate) {
+  if (request.op == api::Request::Op::kEvaluate) {
     out << ", \"seeds\": ";
     AppendNumberArray(&out, request.seeds);
     if (!request.overrides.empty()) {
@@ -595,24 +595,24 @@ std::string RequestToJson(const Request& request) {
       out << "]";
     }
   }
-  if ((request.op == Request::Op::kEdgeAdd ||
-       request.op == Request::Op::kEdgeDel ||
-       request.op == Request::Op::kSetOpinion) &&
+  if ((request.op == api::Request::Op::kEdgeAdd ||
+       request.op == api::Request::Op::kEdgeDel ||
+       request.op == api::Request::Op::kSetOpinion) &&
       !request.mutations.empty()) {
     // Single-edit sugar: the one mutation's fields ride flat on the
     // request object (weight always emitted — canonical form).
     const dyn::Mutation& m = request.mutations.front();
-    if (request.op == Request::Op::kSetOpinion) {
+    if (request.op == api::Request::Op::kSetOpinion) {
       out << ", \"candidate\": " << m.u << ", \"node\": " << m.v
           << ", \"value\": " << m.value;
     } else {
       out << ", \"from\": " << m.u << ", \"to\": " << m.v;
-      if (request.op == Request::Op::kEdgeAdd) {
+      if (request.op == api::Request::Op::kEdgeAdd) {
         out << ", \"weight\": " << m.value;
       }
     }
   }
-  if (request.op == Request::Op::kMutate) {
+  if (request.op == api::Request::Op::kMutate) {
     out << ", \"mutations\": [";
     for (size_t i = 0; i < request.mutations.size(); ++i) {
       const dyn::Mutation& m = request.mutations[i];
@@ -649,7 +649,7 @@ std::string RequestToJson(const Request& request) {
   return out.str();
 }
 
-Result<Response> ParseResponse(const std::string& line) {
+Result<api::Response> ParseResponse(const std::string& line) {
   JsonParser parser(line);
   auto parsed = parser.Parse();
   if (!parsed.ok()) return parsed.status();
@@ -658,7 +658,7 @@ Result<Response> ParseResponse(const std::string& line) {
   }
   const JsonValue& object = *parsed;
 
-  Response response;
+  api::Response response;
   const JsonValue* op = object.Find("op");
   if (op == nullptr || op->type != JsonValue::Type::kString) {
     return Status::InvalidArgument("missing string field 'op'");
@@ -763,7 +763,7 @@ Result<Response> ParseResponse(const std::string& line) {
       if (item.type != JsonValue::Type::kObject) {
         return Status::InvalidArgument("'methods' entries must be objects");
       }
-      MethodScore entry;
+      api::MethodScore entry;
       const JsonValue* name = item.Find("method");
       if (name == nullptr || name->type != JsonValue::Type::kString) {
         return Status::InvalidArgument("'methods' entry missing 'method'");
@@ -793,7 +793,7 @@ Result<Response> ParseResponse(const std::string& line) {
       if (item.type != JsonValue::Type::kObject) {
         return Status::InvalidArgument("'rules' entries must be objects");
       }
-      RuleScore entry;
+      api::RuleScore entry;
       const JsonValue* name = item.Find("rule");
       if (name == nullptr || name->type != JsonValue::Type::kString) {
         return Status::InvalidArgument("'rules' entry missing 'rule'");
@@ -852,7 +852,7 @@ Result<Response> ParseResponse(const std::string& line) {
       if (item.type != JsonValue::Type::kObject) {
         return Status::InvalidArgument("'datasets' entries must be objects");
       }
-      DatasetInfo info;
+      api::DatasetInfo info;
       if (const JsonValue* v = item.Find("name"); v != nullptr) {
         auto name = AsString(*v, "name");
         if (!name.ok()) return name.status();

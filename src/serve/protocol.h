@@ -52,30 +52,20 @@
 
 namespace voteopt::serve {
 
-// The typed vocabulary is the api layer's; the serve spellings remain for
-// existing callers (serve::Request etc.).
-using Request = api::Request;
-using Response = api::Response;
-using DatasetInfo = api::DatasetInfo;
-using MethodScore = api::MethodScore;
-using RuleScore = api::RuleScore;
-using api::IsAdminOp;
-using api::OpName;
-
 /// Parses one request line. Unknown fields are ignored (forward compat);
 /// malformed JSON, a missing/unknown "op", an unsupported "v" major, or
 /// ill-typed fields are InvalidArgument.
-Result<Request> ParseRequest(const std::string& line);
+Result<api::Request> ParseRequest(const std::string& line);
 
 /// Canonical JSON encoding of a request — what a well-behaved client
 /// sends. Fields at their default values are omitted; "v" is emitted only
 /// for requests written against a version > 1. Round trip:
 /// ParseRequest(RequestToJson(r)) parses every field RequestToJson emits.
-std::string RequestToJson(const Request& request);
+std::string RequestToJson(const api::Request& request);
 
 /// Parses one response line back into the typed form (for clients and the
 /// codec round-trip tests). Accepts exactly what Response::ToJson emits.
-Result<Response> ParseResponse(const std::string& line);
+Result<api::Response> ParseResponse(const std::string& line);
 
 }  // namespace voteopt::serve
 

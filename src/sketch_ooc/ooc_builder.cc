@@ -7,6 +7,7 @@
 
 #include "core/sketch.h"
 #include "core/walk_engine.h"
+#include "graph/alias_table.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -30,23 +31,6 @@ struct Moved {
   WalkTask task;
 };
 
-/// The one scratch-block lifecycle: plans `graph` under `budget`, writes
-/// the block files under `prefix`, opens them, runs `fn(blocks)`, and
-/// removes the files on every path.
-template <typename Fn>
-Status WithScratchBlocks(const graph::Graph& graph, uint64_t budget,
-                         const std::string& prefix, Fn fn) {
-  auto plan = PlanByBudget(graph, budget);
-  if (!plan.ok()) return plan.status();
-  Status status = WriteBlocks(graph, *plan, prefix);
-  if (status.ok()) {
-    auto blocks = BlockSet::Open(prefix);
-    status = blocks.ok() ? fn(*blocks) : blocks.status();
-  }
-  RemoveBlocks(prefix, plan->num_blocks());
-  return status;
-}
-
 /// The shared wave/round scheduler: generates `count` walks whose global
 /// sketch indices are `global_index(0) .. global_index(count - 1)`, calling
 /// `emit(assembled)` once per wave with the wave's walks in list order.
@@ -56,12 +40,12 @@ Status WithScratchBlocks(const graph::Graph& graph, uint64_t budget,
 /// walk draws from its own SketchWalkRng stream, and WalkEngine::Advance
 /// is the in-memory builder's step loop.
 template <typename IndexFn, typename EmitFn>
-Status RunWalkWaves(const BlockSet& blocks, const opinion::Campaign& campaign,
-                    uint32_t horizon, uint64_t master_seed, uint64_t count,
-                    const OocBuildOptions& options, OocBuildStats* local_stats,
-                    IndexFn global_index, EmitFn emit) {
-  const uint32_t n = blocks.num_nodes();
-  const PartitionPlan& plan = blocks.plan();
+void RunWalkWaves(const graph::Graph& graph, const PartitionPlan& plan,
+                  const opinion::Campaign& campaign, uint32_t horizon,
+                  uint64_t master_seed, uint64_t count,
+                  const OocBuildOptions& options, OocBuildStats* local_stats,
+                  IndexFn global_index, EmitFn emit) {
+  const uint32_t n = graph.num_nodes();
   const uint32_t num_blocks = plan.num_blocks();
   local_stats->num_blocks = num_blocks;
 
@@ -111,11 +95,13 @@ Status RunWalkWaves(const BlockSet& blocks, const opinion::Campaign& campaign,
       ++local_stats->rounds;
       for (uint32_t b = 0; b < num_blocks; ++b) {
         if (queues[b].empty()) continue;
-        auto block = blocks.LoadBlock(b);
-        if (!block.ok()) return block.status();
+        // Loading a block compiles its range's alias tables from the
+        // resident in-CSR; they live for this visit only.
+        const graph::AliasSampler alias(graph, plan.bounds[b],
+                                        plan.bounds[b + 1]);
         ++local_stats->block_loads;
 
-        const core::WalkEngine engine(campaign, block->alias);
+        const core::WalkEngine engine(campaign, alias);
         active.swap(queues[b]);
         queues[b].clear();
         // Walks crossing back into b during this drain start a fresh batch
@@ -183,24 +169,25 @@ Status RunWalkWaves(const BlockSet& blocks, const opinion::Campaign& campaign,
     }
     emit(assembled);
   }
-  return Status::OK();
 }
 
 }  // namespace
 
 Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOoc(
-    const BlockSet& blocks, const opinion::Campaign& campaign,
-    uint32_t horizon, uint64_t theta, uint64_t master_seed,
-    const OocBuildOptions& options, OocBuildStats* stats) {
-  const uint32_t n = blocks.num_nodes();
+    const graph::Graph& graph, const PartitionPlan& plan,
+    const opinion::Campaign& campaign, uint32_t horizon, uint64_t theta,
+    uint64_t master_seed, const OocBuildOptions& options,
+    OocBuildStats* stats) {
+  const uint32_t n = graph.num_nodes();
+  VOTEOPT_RETURN_IF_ERROR(plan.Validate(n));
   VOTEOPT_RETURN_IF_ERROR(campaign.Validate(n));
 
   OocBuildStats local_stats;
   auto walks = std::make_unique<core::WalkSet>(n);
-  VOTEOPT_RETURN_IF_ERROR(RunWalkWaves(
-      blocks, campaign, horizon, master_seed, theta, options, &local_stats,
-      [](uint64_t i) { return i; },
-      [&walks](const core::WalkBuffer& wave) { walks->AddWalks(wave); }));
+  RunWalkWaves(
+      graph, plan, campaign, horizon, master_seed, theta, options,
+      &local_stats, [](uint64_t i) { return i; },
+      [&walks](const core::WalkBuffer& wave) { walks->AddWalks(wave); });
 
   walks->Finalize(campaign.initial_opinions);
   core::ApplySketchWeights(walks.get(), n, theta);
@@ -211,41 +198,33 @@ Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOoc(
 Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOocFromGraph(
     const graph::Graph& graph, const opinion::Campaign& campaign,
     uint32_t horizon, uint64_t theta, uint64_t master_seed,
-    uint64_t block_budget_bytes, const std::string& scratch_prefix,
+    uint64_t block_budget_bytes, const std::string& /*scratch_prefix*/,
     const OocBuildOptions& options, OocBuildStats* stats) {
-  std::unique_ptr<core::WalkSet> walks;
-  VOTEOPT_RETURN_IF_ERROR(WithScratchBlocks(
-      graph, block_budget_bytes, scratch_prefix, [&](const BlockSet& blocks) {
-        auto built = BuildSketchSetOoc(blocks, campaign, horizon, theta,
-                                       master_seed, options, stats);
-        if (!built.ok()) return built.status();
-        walks = std::move(built).value();
-        return Status::OK();
-      }));
-  return walks;
+  auto plan = PlanByBudget(graph, block_budget_bytes);
+  if (!plan.ok()) return plan.status();
+  return BuildSketchSetOoc(graph, *plan, campaign, horizon, theta,
+                           master_seed, options, stats);
 }
 
 Status RegenerateWalksOocFromGraph(
     const graph::Graph& graph, const opinion::Campaign& campaign,
     uint32_t horizon, uint64_t master_seed,
     std::span<const uint64_t> walk_indices, uint64_t block_budget_bytes,
-    const std::string& scratch_prefix, const OocBuildOptions& options,
-    core::WalkBuffer* out) {
+    const OocBuildOptions& options, core::WalkBuffer* out) {
   VOTEOPT_RETURN_IF_ERROR(campaign.Validate(graph.num_nodes()));
-  return WithScratchBlocks(
-      graph, block_budget_bytes, scratch_prefix, [&](const BlockSet& blocks) {
-        OocBuildStats stats;
-        return RunWalkWaves(
-            blocks, campaign, horizon, master_seed, walk_indices.size(),
-            options, &stats,
-            [walk_indices](uint64_t i) { return walk_indices[i]; },
-            [out](const core::WalkBuffer& wave) {
-              out->nodes.insert(out->nodes.end(), wave.nodes.begin(),
-                                wave.nodes.end());
-              out->lengths.insert(out->lengths.end(), wave.lengths.begin(),
-                                  wave.lengths.end());
-            });
+  auto plan = PlanByBudget(graph, block_budget_bytes);
+  if (!plan.ok()) return plan.status();
+  OocBuildStats stats;
+  RunWalkWaves(
+      graph, *plan, campaign, horizon, master_seed, walk_indices.size(),
+      options, &stats, [walk_indices](uint64_t i) { return walk_indices[i]; },
+      [out](const core::WalkBuffer& wave) {
+        out->nodes.insert(out->nodes.end(), wave.nodes.begin(),
+                          wave.nodes.end());
+        out->lengths.insert(out->lengths.end(), wave.lengths.begin(),
+                            wave.lengths.end());
       });
+  return Status::OK();
 }
 
 }  // namespace voteopt::sketch_ooc

@@ -1,8 +1,8 @@
-// The out-of-core sketch builder (ROADMAP item 1): generates the theta
-// reverse walks of a sketch over a partitioned graph whose blocks are
-// loaded one at a time, and produces a WalkSet BIT-IDENTICAL to the
-// in-memory core::BuildSketchSet for the same (master_seed, theta) —
-// determinism ledger entry #7 in docs/ARCHITECTURE.md.
+// The out-of-core sketch builder: generates the theta reverse walks of a
+// sketch over a graph partitioned into node-range blocks whose alias tables
+// are compiled one block at a time, and produces a WalkSet BIT-IDENTICAL
+// to the in-memory core::BuildSketchSet for the same (master_seed, theta)
+// — determinism ledger entry #7 in docs/ARCHITECTURE.md.
 //
 // Why bit-identity holds: this is a second scheduler over the in-memory
 // builder's own pieces. Walk j opens its stream with core::StartSketchWalk,
@@ -20,9 +20,12 @@
 // trajectory memory), each wave's walks are parked on the block owning
 // their current node, and rounds sweep the blocks in the fixed order
 // 0 .. P-1, advancing every parked walk until it terminates or crosses
-// into another block. Campaign arrays (stubbornness, initial opinions) are
-// n-sized and stay in core; the graph's in-CSR + alias tables — the
-// scale-dominant state — page in per block.
+// into another block. What a block bounds is the alias tables: loading
+// block b compiles the tables of its node range from the caller's resident
+// in-CSR, and they are dropped when the sweep moves on, so at most one
+// block's tables are live at a time. The graph itself and the n-sized
+// campaign arrays (stubbornness, initial opinions) stay in memory; no
+// file is read or written.
 #ifndef VOTEOPT_SKETCH_OOC_OOC_BUILDER_H_
 #define VOTEOPT_SKETCH_OOC_OOC_BUILDER_H_
 
@@ -32,8 +35,8 @@
 #include <string>
 
 #include "core/walk_set.h"
+#include "graph/graph.h"
 #include "opinion/opinion_state.h"
-#include "sketch_ooc/block_store.h"
 #include "sketch_ooc/partition.h"
 #include "util/status.h"
 
@@ -55,24 +58,25 @@ struct OocBuildStats {
   uint32_t num_blocks = 0;
   uint64_t waves = 0;
   uint64_t rounds = 0;         // block sweeps across all waves
-  uint64_t block_loads = 0;    // block file map + validate + alias compile
+  uint64_t block_loads = 0;    // alias-table compiles of a block's range
   uint64_t boundary_hops = 0;  // walk suspensions at partition boundaries
 };
 
-/// Builds the sketch over an opened block set. `campaign` must match the
-/// graph the blocks were cut from (n nodes). The returned WalkSet has been
-/// finalized and carries the Eq. 35/42/47 start weights — byte-for-byte
-/// what core::BuildSketchSet(evaluator, theta, master_seed, options)
-/// produces, for any thread count or block plan on either side.
+/// Builds the sketch over `graph` cut by `plan` (which must Validate
+/// against it); for callers that pin a plan. `campaign` must have one
+/// entry per node. The returned WalkSet has been finalized and carries the
+/// Eq. 35/42/47 start weights — byte-for-byte what
+/// core::BuildSketchSet(evaluator, theta, master_seed, options) produces,
+/// for any thread count or block plan on either side.
 Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOoc(
-    const BlockSet& blocks, const opinion::Campaign& campaign,
-    uint32_t horizon, uint64_t theta, uint64_t master_seed,
-    const OocBuildOptions& options, OocBuildStats* stats = nullptr);
+    const graph::Graph& graph, const PartitionPlan& plan,
+    const opinion::Campaign& campaign, uint32_t horizon, uint64_t theta,
+    uint64_t master_seed, const OocBuildOptions& options,
+    OocBuildStats* stats = nullptr);
 
-/// One-call convenience for callers holding an in-memory graph (the
-/// registry's `block_budget_bytes` path): plans a budget-driven partition,
-/// writes the block files under `scratch_prefix`, builds, and removes the
-/// scratch files on every path, failures included.
+/// BuildSketchSetOoc over the budget-driven plan PlanByBudget(graph,
+/// block_budget_bytes) — the registry's `block_budget_bytes` path.
+/// `scratch_prefix` is ignored (no file is written).
 Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOocFromGraph(
     const graph::Graph& graph, const opinion::Campaign& campaign,
     uint32_t horizon, uint64_t theta, uint64_t master_seed,
@@ -80,19 +84,17 @@ Result<std::unique_ptr<core::WalkSet>> BuildSketchSetOocFromGraph(
     const OocBuildOptions& options, OocBuildStats* stats = nullptr);
 
 /// Regenerates exactly the walks listed in `walk_indices` (global sketch
-/// walk indices) over scratch blocks of `graph` — planned, written and
-/// removed like BuildSketchSetOocFromGraph's — appending their node
-/// sequences to `out` in list order. Because walk j is a pure function of
-/// (master_seed, j, horizon) and the graph, each regenerated walk is
-/// byte-identical to what a full (in-memory or OOC) build over the same
-/// graph would produce for that index — the block-aware half of the
+/// walk indices) over the budget-driven plan of `graph`, appending their
+/// node sequences to `out` in list order. Because walk j is a pure
+/// function of (master_seed, j, horizon) and the graph, each regenerated
+/// walk is byte-identical to what a full (in-memory or OOC) build over the
+/// same graph would produce for that index — the block-aware half of the
 /// incremental sketch repairer (dyn/repair.h).
 Status RegenerateWalksOocFromGraph(
     const graph::Graph& graph, const opinion::Campaign& campaign,
     uint32_t horizon, uint64_t master_seed,
     std::span<const uint64_t> walk_indices, uint64_t block_budget_bytes,
-    const std::string& scratch_prefix, const OocBuildOptions& options,
-    core::WalkBuffer* out);
+    const OocBuildOptions& options, core::WalkBuffer* out);
 
 }  // namespace voteopt::sketch_ooc
 

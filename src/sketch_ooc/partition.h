@@ -1,12 +1,12 @@
 // Node-range partitioning of a graph's in-CSR for the out-of-core sketch
-// engine (ROADMAP item 1; GraphWalker-style block sharding).
+// engine (GraphWalker-style block sharding).
 //
 // A partition plan cuts the node id space [0, n) into P contiguous ranges
-// [bounds[b], bounds[b+1]). Each range's in-adjacency slice — rebased
-// offsets, sources, weights, plus its alias tables — forms one block, the
-// unit that block_store persists and the OOC walk scheduler keeps resident
-// one at a time. Contiguous ranges keep BlockOf(v) a binary search and let
-// block files be cut from the graph's in-CSR arrays with no reshuffling.
+// [bounds[b], bounds[b+1]). Each range is one block: the unit whose alias
+// tables the OOC walk scheduler compiles from the resident in-CSR and
+// keeps live one at a time. Contiguous ranges keep BlockOf(v) a binary
+// search and let a block's tables be compiled straight from the graph's
+// in-CSR arrays with no reshuffling.
 #ifndef VOTEOPT_SKETCH_OOC_PARTITION_H_
 #define VOTEOPT_SKETCH_OOC_PARTITION_H_
 
@@ -35,10 +35,13 @@ struct PartitionPlan {
   Status Validate(uint32_t expected_num_nodes) const;
 };
 
-/// Estimated resident bytes of node v's block share: its rebased in-CSR
-/// slice (one uint64 offset + NodeId source + double weight per edge) plus
-/// its alias-table rows (double prob + uint32 alias per edge). This is the
-/// currency PlanByBudget cuts against.
+/// Estimated bytes of node v's block share: its in-CSR slice (one uint64
+/// offset + NodeId source + double weight per edge) plus its alias-table
+/// rows (double prob + uint32 alias per edge). This is the currency
+/// PlanByBudget cuts against. A block's sampler owns only the offsets and
+/// alias rows (the slice stays in the resident graph), so the estimate
+/// over-counts what a loaded block adds; it is kept as is so that plans,
+/// and the scheduling counts that follow from them, stay unchanged.
 uint64_t NodeResidentBytes(const graph::Graph& graph, graph::NodeId v);
 
 /// Greedy budget-driven plan: nodes are appended to the current block until

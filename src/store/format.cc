@@ -1,11 +1,13 @@
 #include "store/format.h"
 
+#include <atomic>
 #include <bit>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 
 #if defined(__unix__) || defined(__APPLE__)
-#define VOTEOPT_STORE_HAVE_MMAP 1
+#define VOTEOPT_STORE_POSIX 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
@@ -47,6 +49,17 @@ Status CheckLittleEndian() {
         "unsupported");
   }
   return Status::OK();
+}
+
+/// A sibling of `path` that no other write, in this process or another,
+/// uses at the same time.
+std::string TempSibling(const std::string& path) {
+  static std::atomic<uint64_t> counter{0};
+  std::string temp = path + ".tmp";
+#ifdef VOTEOPT_STORE_POSIX
+  temp += std::to_string(::getpid()) + ".";
+#endif
+  return temp + std::to_string(counter.fetch_add(1));
 }
 
 }  // namespace
@@ -103,8 +116,9 @@ Status WriteSectionFile(const std::string& path, FileKind kind,
   header.table_checksum =
       Fnv1a64(table.data(), table.size() * sizeof(SectionEntryDisk));
 
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
+  const std::string temp = TempSibling(path);
+  std::ofstream out(temp, std::ios::binary | std::ios::trunc);
+  if (!out) return Status::IOError("cannot open " + temp + " for writing");
   out.write(reinterpret_cast<const char*>(&header), sizeof(header));
   out.write(reinterpret_cast<const char*>(table.data()),
             static_cast<std::streamsize>(table.size() *
@@ -123,15 +137,22 @@ Status WriteSectionFile(const std::string& path, FileKind kind,
     out.write(kPad, static_cast<std::streamsize>(padded - written));
     written = padded;
   }
-  // Flush before the final check: a buffered tail that fails at close
+  // Close before the final check: a buffered tail that fails at close
   // (e.g. ENOSPC) must surface here, not be swallowed by the destructor.
-  out.flush();
-  if (!out) return Status::IOError("write failed for " + path);
+  out.close();
+  if (!out) {
+    std::remove(temp.c_str());
+    return Status::IOError("write failed for " + path);
+  }
+  if (std::rename(temp.c_str(), path.c_str()) != 0) {
+    std::remove(temp.c_str());
+    return Status::IOError("cannot rename " + temp + " to " + path);
+  }
   return Status::OK();
 }
 
 MappedFile::~MappedFile() {
-#ifdef VOTEOPT_STORE_HAVE_MMAP
+#ifdef VOTEOPT_STORE_POSIX
   if (mmapped_ && data_ != nullptr) {
     ::munmap(const_cast<uint8_t*>(data_), size_);
   }
@@ -141,7 +162,7 @@ MappedFile::~MappedFile() {
 Result<std::shared_ptr<MappedFile>> MappedFile::Open(const std::string& path,
                                                      Mode mode) {
   auto file = std::shared_ptr<MappedFile>(new MappedFile());
-#ifdef VOTEOPT_STORE_HAVE_MMAP
+#ifdef VOTEOPT_STORE_POSIX
   if (mode == Mode::kMmap) {
     const int fd = ::open(path.c_str(), O_RDONLY);
     if (fd < 0) return Status::IOError("cannot open " + path);

@@ -36,11 +36,8 @@ inline constexpr size_t kMaxSectionName = 15;  // + NUL inside 16 bytes
 enum class FileKind : uint32_t {
   kGraph = 1,
   kSketch = 2,
-  /// One node-range partition of a graph's in-CSR (sketch_ooc/block_store).
-  kGraphBlock = 3,
-  /// The manifest tying a set of kGraphBlock files together; written last,
-  /// so its presence certifies a complete block set (crash consistency).
-  kBlockManifest = 4,
+  // 3 and 4 are retired and must not be reused; kMutationLog keeps 5 so
+  // that existing journals still load.
   /// A dataset's committed mutation journal (dyn/journal.h): the ordered
   /// edge/opinion edits applied on top of the immutable base bundle.
   kMutationLog = 5,
@@ -63,7 +60,12 @@ SectionRef MakeSection(std::string name, std::span<const T> payload) {
 }
 
 /// Writes a complete store file. Purely a function of (kind, sections):
-/// identical inputs produce identical bytes.
+/// identical inputs produce identical bytes. The bytes go to a temp file
+/// next to `path`, unique per process and call, which is renamed over
+/// `path` once complete and removed on any failure: `path` holds either
+/// its previous contents or the whole new file, never a torn mix, even
+/// with concurrent writers. Nothing is fsynced, so this protects against
+/// a crashed writer, not against power loss.
 Status WriteSectionFile(const std::string& path, FileKind kind,
                         const std::vector<SectionRef>& sections);
 

@@ -17,6 +17,7 @@ namespace voteopt::store {
 /// Conventional file extension for graph store files.
 inline constexpr char kGraphFileSuffix[] = ".graphbin";
 
+/// Persists both CSR directions of `graph`, atomically (WriteSectionFile).
 Status SaveGraph(const graph::Graph& graph, const std::string& path);
 
 /// Loads a graph store file. The CSR arrays are copied out of the (briefly

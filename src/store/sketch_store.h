@@ -46,8 +46,9 @@ struct SketchMeta {
   uint64_t bundle_fingerprint = 0;
 };
 
-/// Persists a finalized WalkSet. Only the frozen layer is written; the
-/// dynamic truncation state is derived again on load.
+/// Persists a finalized WalkSet, atomically (WriteSectionFile). Only the
+/// frozen layer is written; the dynamic truncation state is derived again
+/// on load.
 Status SaveSketch(const core::WalkSet& walks, const SketchMeta& meta,
                   const std::string& path);
 

@@ -163,14 +163,6 @@ class CondVar {
 
   void Wait(Mutex* mu) REQUIRES(mu) { cv_.wait(*mu); }
 
-  /// Returns std::cv_status::timeout when `deadline` passed first.
-  template <typename Clock, typename Duration>
-  std::cv_status WaitUntil(
-      Mutex* mu, const std::chrono::time_point<Clock, Duration>& deadline)
-      REQUIRES(mu) {
-    return cv_.wait_until(*mu, deadline);
-  }
-
   void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 

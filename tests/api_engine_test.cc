@@ -410,7 +410,6 @@ TEST_F(ApiEngineTest, HostBuildsIdenticalSketchThroughOocPath) {
   host.horizon = 8;
   ASSERT_TRUE((*mem_engine)->Host("mem", dataset_, host).ok());
   host.block_budget_bytes = 4096;  // forces several blocks at this scale
-  host.ooc_scratch_prefix = ::testing::TempDir() + "/api_ooc_scratch";
   ASSERT_TRUE((*ooc_engine)->Host("mem", dataset_, host).ok());
 
   // Server-side timing is the one legitimately nondeterministic field.

@@ -227,8 +227,6 @@ TEST(DynEquivalenceTest, OocRepairPathMatchesInMemoryAndRebuild) {
     // A tight budget forces several blocks, so dirty walks cross block
     // boundaries mid-trajectory.
     options.block_budget_bytes = 2048;
-    options.ooc_scratch_prefix =
-        ::testing::TempDir() + "/dyn_repair_t" + std::to_string(threads);
     auto outcome = SketchRepairer::Repair(
         *base, patched->graph, patched->state.campaigns[0], meta,
         patched->dirty_nodes, /*base_alias=*/nullptr, options);

@@ -158,18 +158,16 @@ TEST_F(DynJournalTest, MissingFileIsAnIOError) {
 class DynCrashRecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/dyn_crash_bundle";
+    // A directory of its own, so a test can check everything left in it.
+    dir_ = std::filesystem::path(::testing::TempDir()) / "dyn_crash";
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    prefix_ = (dir_ / "bundle").string();
     dataset_ = datasets::MakeDataset(datasets::DatasetName::kTwitterMask,
                                      0.04, /*seed=*/11);
     ASSERT_TRUE(datasets::SaveDatasetBundle(dataset_, prefix_).ok());
   }
-  void TearDown() override {
-    for (const char* suffix :
-         {".influence.edges", ".counts.edges", ".campaigns.tsv", ".meta",
-          ".sketch", kMutationLogSuffix}) {
-      std::remove((prefix_ + suffix).c_str());
-    }
-  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   api::EngineOptions Options() const {
     api::EngineOptions options;
@@ -181,6 +179,7 @@ class DynCrashRecoveryTest : public ::testing::Test {
     return options;
   }
 
+  std::filesystem::path dir_;
   std::string prefix_;
   datasets::Dataset dataset_;
 };
@@ -317,7 +316,9 @@ TEST_F(DynCrashRecoveryTest, BudgetedReplayRepairsOutOfCore) {
   // server configured out of core repaired in memory on every restart and
   // kept whole-graph alias tables afterwards. Replay must repair the way a
   // live commit does — through the block scheduler, leaving no alias
-  // tables — and answer exactly like an in-memory replay.
+  // tables — and answer exactly like an in-memory replay, before and after
+  // one more live commit. Out-of-core builds and repairs write no files:
+  // the scratch prefix below names a directory that does not exist.
   const graph::Graph& g = dataset_.influence;
   const uint32_t n = g.num_nodes();
   std::vector<Mutation> edits;
@@ -340,8 +341,7 @@ TEST_F(DynCrashRecoveryTest, BudgetedReplayRepairsOutOfCore) {
 
   api::EngineOptions budgeted = Options();
   budgeted.load.block_budget_bytes = 4096;
-  budgeted.load.ooc_scratch_prefix =
-      ::testing::TempDir() + "/dyn_crash_replay_scratch";
+  budgeted.load.ooc_scratch_prefix = (dir_ / "absent" / "scratch").string();
   auto ooc = api::Engine::Open(budgeted);
   ASSERT_TRUE(ooc.ok()) << ooc.status().ToString();
   auto mem = api::Engine::Open(Options());
@@ -368,14 +368,30 @@ TEST_F(DynCrashRecoveryTest, BudgetedReplayRepairsOutOfCore) {
     ASSERT_TRUE(a.ok) << a.error;
     EXPECT_EQ(a.ToStableJson(), b.ToStableJson());
   }
-  // The replay's scratch block files are gone.
-  for (const auto& file :
-       std::filesystem::directory_iterator(::testing::TempDir())) {
-    EXPECT_NE(file.path().filename().string().rfind(
-                  "dyn_crash_replay_scratch", 0),
-              0u)
-        << file.path();
+
+  // One live commit on each: the budgeted engine repairs out of core.
+  const api::Request commit = api::Request::EdgeAdd(0, 33, 2.0);
+  const api::Response a = (*mem)->Execute(commit);
+  const api::Response b = (*ooc)->Execute(commit);
+  ASSERT_TRUE(a.ok) << a.error;
+  ASSERT_GT(a.walks_repaired, 0u);
+  EXPECT_EQ(a.ToStableJson(), b.ToStableJson());
+  ExpectSameFrozenBytes((*mem)->walks(), (*ooc)->walks());
+
+  // The bundle directory holds the bundle members and the journal only.
+  std::vector<std::string> expected;
+  for (const char* suffix : {".campaigns.tsv", ".counts.edges",
+                             ".influence.edges", ".meta", ".sketch",
+                             kMutationLogSuffix}) {
+    expected.push_back(std::string("bundle") + suffix);
   }
+  std::vector<std::string> found;
+  for (const auto& file : std::filesystem::directory_iterator(dir_)) {
+    found.push_back(file.path().filename().string());
+  }
+  std::sort(expected.begin(), expected.end());
+  std::sort(found.begin(), found.end());
+  EXPECT_EQ(found, expected);
 }
 
 TEST_F(DynCrashRecoveryTest, WrongBaseJournalIsRejected) {

@@ -103,19 +103,10 @@ TEST(AliasSamplerRangeTest, SubRangeSamplesBitIdenticalToFullSampler) {
   Graph g = ErdosRenyiDigraph(60, 500, counts, &graph_rng).NormalizedIncoming();
   AliasSampler full(g);
 
-  // Sampler over an arbitrary node range [lo, hi): rebase the in-CSR spans
-  // exactly as sketch_ooc::WriteBlocks does.
+  // Sampler over an arbitrary node range [lo, hi), as a sketch_ooc block
+  // compiles it.
   const NodeId lo = 13, hi = 47;
-  const auto offsets = g.InOffsets();
-  const uint64_t edge_begin = offsets[lo];
-  std::vector<uint64_t> local_offsets(hi - lo + 1);
-  for (NodeId v = lo; v <= hi; ++v) {
-    local_offsets[v - lo] = offsets[v] - edge_begin;
-  }
-  const uint64_t num_local = local_offsets.back();
-  AliasSampler range(lo, local_offsets,
-                     g.InSources().subspan(edge_begin, num_local),
-                     g.InWeightsRaw().subspan(edge_begin, num_local));
+  AliasSampler range(g, lo, hi);
   EXPECT_EQ(range.lo(), lo);
   EXPECT_EQ(range.hi(), hi);
   EXPECT_FALSE(range.Contains(lo - 1));
@@ -147,7 +138,7 @@ TEST(AliasSamplerRangeTest, WholeRangeMatchesEverywhere) {
   InteractionCounts counts;
   Graph g = ErdosRenyiDigraph(40, 250, counts, &graph_rng).NormalizedIncoming();
   AliasSampler full(g);
-  AliasSampler range(0, g.InOffsets(), g.InSources(), g.InWeightsRaw());
+  AliasSampler range(g, 0, g.num_nodes());
   EXPECT_EQ(range.hi(), g.num_nodes());
   Rng a(42), b(42);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -168,12 +159,8 @@ TEST(AliasSamplerRangeTest, SingleNodeRangesMatch) {
   auto g = b.Build();
   ASSERT_TRUE(g.ok());
   AliasSampler full(*g);
-  const auto offsets = g->InOffsets();
   for (NodeId v = 0; v < 4; ++v) {
-    const uint64_t begin = offsets[v], end = offsets[v + 1];
-    const std::vector<uint64_t> local = {0, end - begin};
-    AliasSampler range(v, local, g->InSources().subspan(begin, end - begin),
-                       g->InWeightsRaw().subspan(begin, end - begin));
+    AliasSampler range(*g, v, v + 1);
     EXPECT_EQ(range.hi(), v + 1);
     Rng x(v + 1), y(v + 1);
     for (int i = 0; i < 100; ++i) {

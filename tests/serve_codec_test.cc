@@ -131,7 +131,7 @@ std::string ReEncode(const std::string& json) {
 }
 
 TEST(ResponseRoundTripTest, TopKMinSeedEvaluate) {
-  Response topk;
+  api::Response topk;
   topk.op = "topk";
   topk.id = "q1";
   topk.dataset = "yelp";
@@ -142,7 +142,7 @@ TEST(ResponseRoundTripTest, TopKMinSeedEvaluate) {
   topk.millis = 3.5;
   EXPECT_EQ(ReEncode(topk.ToJson()), topk.ToJson());
 
-  Response minseed;
+  api::Response minseed;
   minseed.op = "minseed";
   minseed.dataset = "d";
   minseed.achievable = true;
@@ -152,7 +152,7 @@ TEST(ResponseRoundTripTest, TopKMinSeedEvaluate) {
   minseed.selector_calls = 1;
   EXPECT_EQ(ReEncode(minseed.ToJson()), minseed.ToJson());
 
-  Response evaluate;
+  api::Response evaluate;
   evaluate.op = "evaluate";
   evaluate.dataset = "d";
   evaluate.score = 6.5;
@@ -163,7 +163,7 @@ TEST(ResponseRoundTripTest, TopKMinSeedEvaluate) {
 }
 
 TEST(ResponseRoundTripTest, MethodCompareAndRuleSweep) {
-  Response compare;
+  api::Response compare;
   compare.op = "methodcompare";
   compare.dataset = "d";
   compare.method_scores.push_back({"DM", {1, 2}, 10.5, 10.25, 0.5});
@@ -181,7 +181,7 @@ TEST(ResponseRoundTripTest, MethodCompareAndRuleSweep) {
   EXPECT_DOUBLE_EQ(parsed->method_scores[0].exact_score, 10.25);
   EXPECT_DOUBLE_EQ(parsed->method_scores[0].seconds, 0.0);  // not carried
 
-  Response sweep;
+  api::Response sweep;
   sweep.op = "rulesweep";
   sweep.dataset = "d";
   sweep.rule_scores.push_back({"cumulative", {3}, 5.5, 5.25, 0});
@@ -196,10 +196,10 @@ TEST(ResponseRoundTripTest, MethodCompareAndRuleSweep) {
 }
 
 TEST(ResponseRoundTripTest, AdminAndErrorShapes) {
-  Response load;
+  api::Response load;
   load.op = "load";
   load.dataset = "yelp";
-  DatasetInfo info;
+  api::DatasetInfo info;
   info.name = "yelp";
   info.num_nodes = 800;
   info.num_candidates = 10;
@@ -215,11 +215,11 @@ TEST(ResponseRoundTripTest, AdminAndErrorShapes) {
   EXPECT_EQ(parsed->datasets[0].theta, 262144u);
   EXPECT_TRUE(parsed->datasets[0].sketch_built);
 
-  Request request;
-  request.op = Request::Op::kEvaluate;
+  api::Request request;
+  request.op = api::Request::Op::kEvaluate;
   request.id = "r9";
-  const Response error =
-      Response::Error(request, Status::OutOfRange("seed id out of range"));
+  const api::Response error =
+      api::Response::Error(request, Status::OutOfRange("seed id out of range"));
   EXPECT_EQ(ReEncode(error.ToJson()), error.ToJson());
   auto parsed_error = ParseResponse(error.ToJson());
   ASSERT_TRUE(parsed_error.ok());
@@ -235,15 +235,16 @@ TEST(ObservabilityCodecTest, StatsVerbRoundTrips) {
   // Request side: stats is a v3 verb; the canonical form keeps the version.
   auto request = ParseRequest(R"({"op": "stats", "v": 3})");
   ASSERT_TRUE(request.ok());
-  EXPECT_EQ(request->op, Request::Op::kStats);
-  EXPECT_TRUE(IsAdminOp(request->op)) << "stats must be an ordering barrier";
+  EXPECT_EQ(request->op, api::Request::Op::kStats);
+  EXPECT_TRUE(api::IsAdminOp(request->op))
+      << "stats must be an ordering barrier";
   const std::string canonical = RequestToJson(*request);
   EXPECT_EQ(canonical, R"({"op": "stats", "v": 3})");
   EXPECT_EQ(Canonical(canonical), canonical);
 
   // Response side: the flat "name{labels}" -> value snapshot survives the
   // wire, including Prometheus-style label punctuation inside key names.
-  Response stats;
+  api::Response stats;
   stats.op = "stats";
   stats.id = "s1";
   stats.stats[R"(voteopt_queries_total{method="RS",op="topk"})"] = 41;
@@ -278,7 +279,7 @@ TEST(ObservabilityCodecTest, TraceFieldRoundTrips) {
 }
 
 TEST(ObservabilityCodecTest, TracedDiagnosticsRideBehindMillis) {
-  Response response;
+  api::Response response;
   response.op = "topk";
   response.dataset = "d";
   response.seeds = {7, 9};

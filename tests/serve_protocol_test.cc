@@ -11,7 +11,7 @@ TEST(ParseRequestTest, ParsesTopK) {
   auto request = ParseRequest(
       R"({"op": "topk", "k": 25, "rule": "plurality", "id": "q-1"})");
   ASSERT_TRUE(request.ok()) << request.status().ToString();
-  EXPECT_EQ(request->op, Request::Op::kTopK);
+  EXPECT_EQ(request->op, api::Request::Op::kTopK);
   EXPECT_EQ(request->k, 25u);
   EXPECT_EQ(request->rule, "plurality");
   EXPECT_EQ(request->id, "q-1");
@@ -20,7 +20,7 @@ TEST(ParseRequestTest, ParsesTopK) {
 TEST(ParseRequestTest, ParsesMinSeedWithDefaults) {
   auto request = ParseRequest(R"({"op": "minseed"})");
   ASSERT_TRUE(request.ok());
-  EXPECT_EQ(request->op, Request::Op::kMinSeed);
+  EXPECT_EQ(request->op, api::Request::Op::kMinSeed);
   EXPECT_EQ(request->k_max, 0u);  // 0 = search up to n
   EXPECT_EQ(request->rule, "cumulative");
 }
@@ -30,7 +30,7 @@ TEST(ParseRequestTest, ParsesEvaluateWithSeedsAndOverrides) {
       R"({"op": "evaluate", "seeds": [3, 17, 4], )"
       R"("override": [[5, 0.9], [12, 0.25]], "rule": "copeland"})");
   ASSERT_TRUE(request.ok()) << request.status().ToString();
-  EXPECT_EQ(request->op, Request::Op::kEvaluate);
+  EXPECT_EQ(request->op, api::Request::Op::kEvaluate);
   EXPECT_EQ(request->seeds, (std::vector<graph::NodeId>{3, 17, 4}));
   ASSERT_EQ(request->overrides.size(), 2u);
   EXPECT_EQ(request->overrides[0].first, 5u);
@@ -49,25 +49,25 @@ TEST(ParseRequestTest, ParsesAdminVerbs) {
       R"({"op": "load", "dataset": "yelp", "bundle": "/data/yelp", )"
       R"("sketch": "/data/yelp.big.sketch", "theta": 1048576})");
   ASSERT_TRUE(load.ok()) << load.status().ToString();
-  EXPECT_EQ(load->op, Request::Op::kLoad);
+  EXPECT_EQ(load->op, api::Request::Op::kLoad);
   EXPECT_EQ(load->dataset, "yelp");
   EXPECT_EQ(load->bundle, "/data/yelp");
   EXPECT_EQ(load->sketch, "/data/yelp.big.sketch");
   EXPECT_EQ(load->theta, 1048576u);
-  EXPECT_TRUE(IsAdminOp(load->op));
+  EXPECT_TRUE(api::IsAdminOp(load->op));
 
   auto unload = ParseRequest(R"({"op": "unload", "dataset": "yelp"})");
   ASSERT_TRUE(unload.ok());
-  EXPECT_EQ(unload->op, Request::Op::kUnload);
+  EXPECT_EQ(unload->op, api::Request::Op::kUnload);
   EXPECT_EQ(unload->dataset, "yelp");
 
   auto list = ParseRequest(R"({"op": "list"})");
   ASSERT_TRUE(list.ok());
-  EXPECT_EQ(list->op, Request::Op::kList);
+  EXPECT_EQ(list->op, api::Request::Op::kList);
 
-  EXPECT_FALSE(IsAdminOp(Request::Op::kTopK));
-  EXPECT_FALSE(IsAdminOp(Request::Op::kMinSeed));
-  EXPECT_FALSE(IsAdminOp(Request::Op::kEvaluate));
+  EXPECT_FALSE(api::IsAdminOp(api::Request::Op::kTopK));
+  EXPECT_FALSE(api::IsAdminOp(api::Request::Op::kMinSeed));
+  EXPECT_FALSE(api::IsAdminOp(api::Request::Op::kEvaluate));
 }
 
 TEST(ParseRequestTest, ParsesDatasetRoutingOnQueries) {
@@ -90,9 +90,9 @@ TEST(ParseRequestTest, ParsesDatasetRoutingOnQueries) {
 }
 
 TEST(ResponseTest, SerializesListShape) {
-  Response response;
+  api::Response response;
   response.op = "list";
-  DatasetInfo info;
+  api::DatasetInfo info;
   info.name = "yelp";
   info.num_nodes = 100;
   info.num_candidates = 10;
@@ -112,7 +112,7 @@ TEST(ResponseTest, SerializesListShape) {
 }
 
 TEST(ResponseTest, StableJsonDropsOnlyMillis) {
-  Response response;
+  api::Response response;
   response.op = "topk";
   response.dataset = "yelp";
   response.seeds = {1, 2};
@@ -123,20 +123,21 @@ TEST(ResponseTest, StableJsonDropsOnlyMillis) {
   EXPECT_NE(stable.find("\"seeds\": [1, 2]"), std::string::npos);
   EXPECT_EQ(stable.back(), '}');
   // Two runs differing only in timing compare equal.
-  Response slower = response;
+  api::Response slower = response;
   slower.millis = 99.0;
   EXPECT_EQ(stable, slower.ToStableJson());
   EXPECT_NE(response.ToJson(), slower.ToJson());
 
   // Error responses carry no millis; stable form is the full form.
-  Request request;
-  request.op = Request::Op::kTopK;
-  const Response error = Response::Error(request, Status::NotFound("x"));
+  api::Request request;
+  request.op = api::Request::Op::kTopK;
+  const api::Response error =
+      api::Response::Error(request, Status::NotFound("x"));
   EXPECT_EQ(error.ToStableJson(), error.ToJson());
 }
 
 TEST(ResponseTest, EchoesDatasetOnSuccess) {
-  Response response;
+  api::Response response;
   response.op = "topk";
   response.dataset = "yelp";
   response.seeds = {1};
@@ -157,7 +158,7 @@ TEST(ParseRequestTest, VersionDefaultsToOneAndGatesUnknownMajors) {
   auto v2 = ParseRequest(R"({"op": "rulesweep", "v": 2, "k": 3})");
   ASSERT_TRUE(v2.ok());
   EXPECT_EQ(v2->v, 2u);
-  EXPECT_EQ(v2->op, Request::Op::kRuleSweep);
+  EXPECT_EQ(v2->op, api::Request::Op::kRuleSweep);
   EXPECT_FALSE(ParseRequest(R"({"op": "topk", "v": 9, "k": 1})").ok());
 }
 
@@ -176,18 +177,18 @@ TEST(ParseRequestTest, ParsesMethodCompareAndRuleSweep) {
   auto compare = ParseRequest(
       R"({"op": "methodcompare", "v": 2, "k": 6, "methods": ["dm", "RS"]})");
   ASSERT_TRUE(compare.ok()) << compare.status().ToString();
-  EXPECT_EQ(compare->op, Request::Op::kMethodCompare);
+  EXPECT_EQ(compare->op, api::Request::Op::kMethodCompare);
   EXPECT_EQ(compare->k, 6u);
   EXPECT_EQ(compare->methods,
             (std::vector<baselines::Method>{baselines::Method::kDM,
                                             baselines::Method::kRS}));
-  EXPECT_FALSE(IsAdminOp(compare->op));
+  EXPECT_FALSE(api::IsAdminOp(compare->op));
 
   auto sweep = ParseRequest(R"({"op": "rulesweep", "k": 5, "p": 2})");
   ASSERT_TRUE(sweep.ok());
-  EXPECT_EQ(sweep->op, Request::Op::kRuleSweep);
+  EXPECT_EQ(sweep->op, api::Request::Op::kRuleSweep);
   EXPECT_EQ(sweep->p, 2u);
-  EXPECT_FALSE(IsAdminOp(sweep->op));
+  EXPECT_FALSE(api::IsAdminOp(sweep->op));
 }
 
 TEST(ParseRequestTest, RejectsMalformedInput) {
@@ -207,11 +208,11 @@ TEST(ParseRequestTest, RejectsMalformedInput) {
 }
 
 TEST(ResponseTest, SerializesErrorShape) {
-  Request request;
-  request.op = Request::Op::kEvaluate;
+  api::Request request;
+  request.op = api::Request::Op::kEvaluate;
   request.id = "r9";
-  const Response response =
-      Response::Error(request, Status::OutOfRange("seed id out of range"));
+  const api::Response response =
+      api::Response::Error(request, Status::OutOfRange("seed id out of range"));
   const std::string json = response.ToJson();
   EXPECT_NE(json.find("\"op\": \"evaluate\""), std::string::npos);
   EXPECT_NE(json.find("\"id\": \"r9\""), std::string::npos);
@@ -220,7 +221,7 @@ TEST(ResponseTest, SerializesErrorShape) {
 }
 
 TEST(ResponseTest, SerializesTopKShapeAndEscapes) {
-  Response response;
+  api::Response response;
   response.op = "topk";
   response.id = "with \"quotes\"";
   response.seeds = {1, 2, 3};

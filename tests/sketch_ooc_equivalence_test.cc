@@ -1,22 +1,15 @@
 // Determinism ledger entry #7: the out-of-core block-sharded sketch builder
 // produces a WalkSet BIT-IDENTICAL to the in-memory core::BuildSketchSet
 // for the same (master_seed, theta) — across block counts (including one
-// block per node), thread counts, and all five voting rules — and a
-// truncated or corrupted block set yields a clean Status, never a partial
-// sketch.
+// block per node), thread counts, and all five voting rules.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "core/estimated_greedy.h"
 #include "core/sketch.h"
 #include "opinion/fj_model.h"
-#include "sketch_ooc/block_store.h"
 #include "sketch_ooc/ooc_builder.h"
 #include "sketch_ooc/partition.h"
 #include "test_fixtures.h"
@@ -63,20 +56,11 @@ void ExpectBitIdentical(const core::WalkSet& a, const core::WalkSet& b) {
   }
 }
 
-class SketchOocEquivalenceTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/ooc_equivalence";
-  }
-  void TearDown() override { RemoveBlocks(prefix_, 256); }
-  std::string prefix_;
-};
-
 // Three waves per build (two full, one of 17 walks), so wave boundaries
 // are crossed on every plan.
 constexpr uint64_t kThreeWaveTheta = 2 * kOocWaveWalks + 17;
 
-TEST_F(SketchOocEquivalenceTest, BitIdenticalAcrossBlockAndThreadCounts) {
+TEST(SketchOocEquivalenceTest, BitIdenticalAcrossBlockAndThreadCounts) {
   constexpr uint32_t kNodes = 120;
   constexpr uint32_t kHorizon = 6;
   constexpr uint64_t kTheta = kThreeWaveTheta;
@@ -96,16 +80,13 @@ TEST_F(SketchOocEquivalenceTest, BitIdenticalAcrossBlockAndThreadCounts) {
     auto plan = PlanByCount(inst.graph, num_blocks);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     ASSERT_EQ(plan->num_blocks(), num_blocks);
-    ASSERT_TRUE(WriteBlocks(inst.graph, *plan, prefix_).ok());
-    auto blocks = BlockSet::Open(prefix_);
-    ASSERT_TRUE(blocks.ok()) << blocks.status().ToString();
 
     for (const uint32_t threads : {1u, 2u, 4u}) {
       OocBuildOptions options;
       options.num_threads = threads;
       OocBuildStats stats;
-      auto ooc = BuildSketchSetOoc(*blocks, inst.state.campaigns[0], kHorizon,
-                                   kTheta, kSeed, options, &stats);
+      auto ooc = BuildSketchSetOoc(inst.graph, *plan, inst.state.campaigns[0],
+                                   kHorizon, kTheta, kSeed, options, &stats);
       ASSERT_TRUE(ooc.ok()) << ooc.status().ToString();
       SCOPED_TRACE("blocks=" + std::to_string(num_blocks) +
                    " threads=" + std::to_string(threads));
@@ -114,11 +95,10 @@ TEST_F(SketchOocEquivalenceTest, BitIdenticalAcrossBlockAndThreadCounts) {
       EXPECT_EQ(stats.waves, 3u);
       if (num_blocks > 1) EXPECT_GT(stats.boundary_hops, 0u);
     }
-    RemoveBlocks(prefix_, num_blocks);
   }
 }
 
-TEST_F(SketchOocEquivalenceTest, SeedSelectionMatchesForAllFiveRules) {
+TEST(SketchOocEquivalenceTest, SeedSelectionMatchesForAllFiveRules) {
   constexpr uint32_t kHorizon = 5;
   constexpr uint64_t kTheta = kThreeWaveTheta;
   constexpr uint64_t kSeed = 7;
@@ -127,9 +107,6 @@ TEST_F(SketchOocEquivalenceTest, SeedSelectionMatchesForAllFiveRules) {
 
   auto plan = PlanByCount(inst.graph, 8);
   ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(WriteBlocks(inst.graph, *plan, prefix_).ok());
-  auto blocks = BlockSet::Open(prefix_);
-  ASSERT_TRUE(blocks.ok()) << blocks.status().ToString();
 
   OocBuildOptions options;
   options.num_threads = 2;
@@ -147,8 +124,8 @@ TEST_F(SketchOocEquivalenceTest, SeedSelectionMatchesForAllFiveRules) {
     voting::ScoreEvaluator ev(model, inst.state, 0, kHorizon, spec);
     // Fresh builds per rule: greedy selection rewrites the dynamic values
     // layer in place, so each comparison starts from pristine sketches.
-    auto ooc = BuildSketchSetOoc(*blocks, inst.state.campaigns[0], kHorizon,
-                                 kTheta, kSeed, options);
+    auto ooc = BuildSketchSetOoc(inst.graph, *plan, inst.state.campaigns[0],
+                                 kHorizon, kTheta, kSeed, options);
     ASSERT_TRUE(ooc.ok()) << ooc.status().ToString();
     const auto mem = core::BuildSketchSet(ev, kTheta, kSeed, mem_options);
     ExpectBitIdentical(*mem, **ooc);
@@ -165,7 +142,7 @@ TEST_F(SketchOocEquivalenceTest, SeedSelectionMatchesForAllFiveRules) {
   }
 }
 
-TEST_F(SketchOocEquivalenceTest, SchedulingStatsArePinned) {
+TEST(SketchOocEquivalenceTest, SchedulingStatsArePinned) {
   // Byte equality cannot see HOW the scheduler got there: a walk parked
   // after its last step, or a changed sweep order, wave size or chunk
   // merge order, leaves the WalkSet intact but moves these counts — the
@@ -174,15 +151,12 @@ TEST_F(SketchOocEquivalenceTest, SchedulingStatsArePinned) {
   auto inst = MakeRandomInstance(200, 1300, 2, 83);
   auto plan = PlanByCount(inst.graph, 5);
   ASSERT_TRUE(plan.ok());
-  ASSERT_TRUE(WriteBlocks(inst.graph, *plan, prefix_).ok());
-  auto blocks = BlockSet::Open(prefix_);
-  ASSERT_TRUE(blocks.ok()) << blocks.status().ToString();
   for (const uint32_t threads : {1u, 3u}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     OocBuildOptions options;
     options.num_threads = threads;
     OocBuildStats stats;
-    auto ooc = BuildSketchSetOoc(*blocks, inst.state.campaigns[0],
+    auto ooc = BuildSketchSetOoc(inst.graph, *plan, inst.state.campaigns[0],
                                  /*horizon=*/7, kThreeWaveTheta,
                                  /*master_seed=*/2024, options, &stats);
     ASSERT_TRUE(ooc.ok()) << ooc.status().ToString();
@@ -194,7 +168,7 @@ TEST_F(SketchOocEquivalenceTest, SchedulingStatsArePinned) {
   }
 }
 
-TEST_F(SketchOocEquivalenceTest, BudgetDrivenConvenienceMatchesInMemory) {
+TEST(SketchOocEquivalenceTest, BudgetDrivenConvenienceMatchesInMemory) {
   constexpr uint32_t kHorizon = 4;
   constexpr uint64_t kTheta = 2000;
   auto inst = MakeRandomInstance(100, 600, 2, 61);
@@ -207,138 +181,17 @@ TEST_F(SketchOocEquivalenceTest, BudgetDrivenConvenienceMatchesInMemory) {
   const auto mem = core::BuildSketchSet(ev, kTheta, /*master_seed=*/5,
                                         mem_options);
 
-  // A tight budget forces several blocks; the scratch files must be gone
-  // afterwards.
+  // A tight budget forces several blocks.
   OocBuildOptions options;
   options.num_threads = 2;
   OocBuildStats stats;
   auto ooc = BuildSketchSetOocFromGraph(inst.graph, inst.state.campaigns[0],
                                         kHorizon, kTheta, /*master_seed=*/5,
-                                        /*block_budget_bytes=*/2048, prefix_,
-                                        options, &stats);
+                                        /*block_budget_bytes=*/2048,
+                                        /*scratch_prefix=*/"", options, &stats);
   ASSERT_TRUE(ooc.ok()) << ooc.status().ToString();
   EXPECT_GE(stats.num_blocks, 4u);
   ExpectBitIdentical(*mem, **ooc);
-  std::ifstream manifest(ManifestPath(prefix_));
-  EXPECT_FALSE(manifest.good()) << "scratch blocks must be cleaned up";
-}
-
-// ---- crash consistency -------------------------------------------------
-
-class SketchOocCrashTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/ooc_crash";
-    inst_ = std::make_unique<test::RandomInstance>(
-        MakeRandomInstance(60, 300, 2, 71));
-    auto plan = PlanByCount(inst_->graph, 6);
-    ASSERT_TRUE(plan.ok());
-    plan_ = *plan;
-    ASSERT_TRUE(WriteBlocks(inst_->graph, plan_, prefix_).ok());
-  }
-  void TearDown() override { RemoveBlocks(prefix_, plan_.num_blocks()); }
-
-  // The build over the (possibly damaged) block set.
-  Status TryBuild() {
-    auto blocks = BlockSet::Open(prefix_);
-    if (!blocks.ok()) return blocks.status();
-    OocBuildOptions options;
-    options.num_threads = 1;
-    auto walks = BuildSketchSetOoc(*blocks, inst_->state.campaigns[0],
-                                   /*horizon=*/5, /*theta=*/500,
-                                   /*master_seed=*/3, options);
-    return walks.status();
-  }
-
-  void Truncate(const std::string& path, size_t keep_bytes) {
-    std::ifstream in(path, std::ios::binary);
-    ASSERT_TRUE(in.good());
-    std::vector<char> bytes(keep_bytes);
-    in.read(bytes.data(), static_cast<std::streamsize>(keep_bytes));
-    ASSERT_EQ(static_cast<size_t>(in.gcount()), keep_bytes);
-    in.close();
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(keep_bytes));
-  }
-
-  void FlipByte(const std::string& path, size_t offset) {
-    std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(io.good());
-    io.seekg(static_cast<std::streamoff>(offset));
-    char byte = 0;
-    io.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0xFF);
-    io.seekp(static_cast<std::streamoff>(offset));
-    io.write(&byte, 1);
-  }
-
-  std::string prefix_;
-  std::unique_ptr<test::RandomInstance> inst_;
-  PartitionPlan plan_;
-};
-
-TEST_F(SketchOocCrashTest, IntactBlocksBuildFine) {
-  EXPECT_TRUE(TryBuild().ok());
-}
-
-TEST_F(SketchOocCrashTest, TruncatedBlockFileIsRejected) {
-  Truncate(BlockPath(prefix_, 2), 64);
-  const Status st = TryBuild();
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), Status::Code::kCorruption) << st.ToString();
-}
-
-TEST_F(SketchOocCrashTest, CorruptedBlockPayloadIsRejected) {
-  // Flip a byte deep in the payload region: the section checksum catches
-  // it even though the header still parses.
-  FlipByte(BlockPath(prefix_, 1), 300);
-  const Status st = TryBuild();
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), Status::Code::kCorruption) << st.ToString();
-}
-
-TEST_F(SketchOocCrashTest, MissingBlockFileIsRejected) {
-  std::remove(BlockPath(prefix_, 3).c_str());
-  EXPECT_FALSE(TryBuild().ok());
-}
-
-TEST_F(SketchOocCrashTest, MissingManifestIsRejected) {
-  // The crash-consistency contract: blocks without a manifest are an
-  // incomplete write and must never be opened.
-  std::remove(ManifestPath(prefix_).c_str());
-  EXPECT_FALSE(BlockSet::Open(prefix_).ok());
-}
-
-TEST_F(SketchOocCrashTest, TruncatedManifestIsRejected) {
-  Truncate(ManifestPath(prefix_), 40);
-  EXPECT_FALSE(BlockSet::Open(prefix_).ok());
-}
-
-TEST_F(SketchOocCrashTest, StaleBlockFromAnotherGraphIsRejected) {
-  // Rewrite block 0 from a DIFFERENT graph (same node range, different
-  // edges): the in-CSR fingerprint in the block meta must not match the
-  // manifest's.
-  auto other = MakeRandomInstance(60, 300, 2, 72);
-  const std::string other_prefix = ::testing::TempDir() + "/ooc_crash_other";
-  ASSERT_TRUE(WriteBlocks(other.graph, plan_, other_prefix).ok());
-  std::remove(BlockPath(prefix_, 0).c_str());
-  ASSERT_EQ(std::rename(BlockPath(other_prefix, 0).c_str(),
-                        BlockPath(prefix_, 0).c_str()),
-            0);
-  RemoveBlocks(other_prefix, plan_.num_blocks());
-  const Status st = TryBuild();
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), Status::Code::kCorruption) << st.ToString();
-}
-
-TEST_F(SketchOocCrashTest, SketchFileIsNotABlockSet) {
-  // Kind confusion: a graph file at a block path parses as the wrong
-  // FileKind and is rejected up front.
-  const std::string graph_path = BlockPath(prefix_, 4);
-  std::remove(graph_path.c_str());
-  ASSERT_TRUE(store::WriteSectionFile(graph_path, store::FileKind::kGraph, {})
-                  .ok());
-  EXPECT_FALSE(TryBuild().ok());
 }
 
 }  // namespace

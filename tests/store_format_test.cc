@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 namespace voteopt::store {
@@ -169,87 +170,95 @@ TEST_F(StoreFormatTest, ElementSizeMismatchIsCorruption) {
   EXPECT_EQ(typed.status().code(), Status::Code::kCorruption);
 }
 
-// --- The out-of-core block kinds (kGraphBlock, kBlockManifest) go through
-// the same container validation as every other kind; these pin the
-// negative paths the sketch_ooc crash-consistency story relies on. ---
+// --- Every file kind the store writes goes through the same container
+// validation; these pin the negative paths each kind relies on. ---
 
-class BlockKindFormatTest : public StoreFormatTest {
+class FileKindFormatTest : public StoreFormatTest {
  protected:
+  static constexpr FileKind kKinds[] = {FileKind::kGraph, FileKind::kSketch,
+                                        FileKind::kMutationLog};
+
   Status WriteAs(FileKind kind) {
     payload_ = {10, 20, 30};
     std::vector<SectionRef> sections;
     sections.push_back(
-        MakeSection("blockmeta", std::span<const uint64_t>(payload_)));
+        MakeSection("meta", std::span<const uint64_t>(payload_)));
     return WriteSectionFile(path_, kind, sections);
   }
   std::vector<uint64_t> payload_;
 };
 
-TEST_F(BlockKindFormatTest, BlockAndManifestKindsAreNotInterchangeable) {
-  ASSERT_TRUE(WriteAs(FileKind::kGraphBlock).ok());
-  auto file = MappedFile::Open(path_);
-  ASSERT_TRUE(file.ok());
-  // A block file is only a block file: every other expectation fails with
-  // InvalidArgument (wrong kind), not Corruption (the file is intact).
-  for (const FileKind other :
-       {FileKind::kBlockManifest, FileKind::kGraph, FileKind::kSketch}) {
-    auto reader = SectionReader::Parse(*file, other);
-    ASSERT_FALSE(reader.ok());
-    EXPECT_EQ(reader.status().code(), Status::Code::kInvalidArgument);
+TEST_F(FileKindFormatTest, KindsAreNotInterchangeable) {
+  for (const FileKind kind : kKinds) {
+    SCOPED_TRACE(static_cast<uint32_t>(kind));
+    ASSERT_TRUE(WriteAs(kind).ok());
+    auto file = MappedFile::Open(path_);
+    ASSERT_TRUE(file.ok());
+    // A file of one kind is only that kind: every other expectation fails
+    // with InvalidArgument (wrong kind), not Corruption (the file is
+    // intact).
+    for (const FileKind other : kKinds) {
+      auto reader = SectionReader::Parse(*file, other);
+      if (other == kind) {
+        EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+      } else {
+        ASSERT_FALSE(reader.ok());
+        EXPECT_EQ(reader.status().code(), Status::Code::kInvalidArgument);
+      }
+    }
   }
-  EXPECT_TRUE(SectionReader::Parse(*file, FileKind::kGraphBlock).ok());
 }
 
-TEST_F(BlockKindFormatTest, ManifestKindIsAlsoExclusive) {
-  ASSERT_TRUE(WriteAs(FileKind::kBlockManifest).ok());
-  auto file = MappedFile::Open(path_);
-  ASSERT_TRUE(file.ok());
-  auto as_block = SectionReader::Parse(*file, FileKind::kGraphBlock);
-  ASSERT_FALSE(as_block.ok());
-  EXPECT_EQ(as_block.status().code(), Status::Code::kInvalidArgument);
-  EXPECT_TRUE(SectionReader::Parse(*file, FileKind::kBlockManifest).ok());
+TEST_F(FileKindFormatTest, VersionSkewRejected) {
+  for (const FileKind kind : kKinds) {
+    SCOPED_TRACE(static_cast<uint32_t>(kind));
+    ASSERT_TRUE(WriteAs(kind).ok());
+    auto bytes = ReadAll();
+    // The format version is the uint32 at bytes [8, 12) of the header; a
+    // future-version file must be rejected, never half-parsed.
+    bytes[8] = static_cast<uint8_t>(kFormatVersion + 1);
+    WriteAll(bytes);
+    auto file = MappedFile::Open(path_);
+    ASSERT_TRUE(file.ok());
+    auto reader = SectionReader::Parse(*file, kind);
+    ASSERT_FALSE(reader.ok());
+    EXPECT_EQ(reader.status().code(), Status::Code::kCorruption);
+    EXPECT_NE(reader.status().ToString().find("version"), std::string::npos);
+  }
 }
 
-TEST_F(BlockKindFormatTest, WrongMagicRejected) {
-  ASSERT_TRUE(WriteAs(FileKind::kGraphBlock).ok());
-  auto bytes = ReadAll();
-  bytes[3] ^= 0xFF;
-  WriteAll(bytes);
-  auto file = MappedFile::Open(path_);
-  ASSERT_TRUE(file.ok());
-  auto reader = SectionReader::Parse(*file, FileKind::kGraphBlock);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), Status::Code::kCorruption);
+TEST_F(FileKindFormatTest, PayloadChecksumMismatchRejected) {
+  for (const FileKind kind : kKinds) {
+    SCOPED_TRACE(static_cast<uint32_t>(kind));
+    ASSERT_TRUE(WriteAs(kind).ok());
+    // Flip the last payload byte (the header and section table sit at the
+    // front; the final bytes of the file are always payload).
+    auto bytes = ReadAll();
+    bytes[bytes.size() - 1] ^= 0xFF;
+    WriteAll(bytes);
+    auto file = MappedFile::Open(path_);
+    ASSERT_TRUE(file.ok());
+    auto reader = SectionReader::Parse(*file, kind);
+    ASSERT_FALSE(reader.ok());
+    EXPECT_EQ(reader.status().code(), Status::Code::kCorruption);
+  }
 }
 
-TEST_F(BlockKindFormatTest, VersionSkewRejected) {
-  ASSERT_TRUE(WriteAs(FileKind::kBlockManifest).ok());
-  auto bytes = ReadAll();
-  // The format version is the uint32 at bytes [8, 12) of the header; a
-  // future-version file must be rejected, never half-parsed.
-  bytes[8] = static_cast<uint8_t>(kFormatVersion + 1);
-  WriteAll(bytes);
-  auto file = MappedFile::Open(path_);
-  ASSERT_TRUE(file.ok());
-  auto reader = SectionReader::Parse(*file, FileKind::kBlockManifest);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), Status::Code::kCorruption);
-  EXPECT_NE(reader.status().ToString().find("version"), std::string::npos);
-}
-
-TEST_F(BlockKindFormatTest, PayloadChecksumMismatchRejected) {
-  ASSERT_TRUE(WriteAs(FileKind::kGraphBlock).ok());
-  const auto pristine = ReadAll();
-  // Flip the last payload byte (the header and section table sit at the
-  // front; the final bytes of the file are always payload).
-  auto bytes = pristine;
-  bytes[bytes.size() - 1] ^= 0xFF;
-  WriteAll(bytes);
-  auto file = MappedFile::Open(path_);
-  ASSERT_TRUE(file.ok());
-  auto reader = SectionReader::Parse(*file, FileKind::kGraphBlock);
-  ASSERT_FALSE(reader.ok());
-  EXPECT_EQ(reader.status().code(), Status::Code::kCorruption);
+TEST_F(StoreFormatTest, FailedRenameLeavesNoTempFile) {
+  // A non-empty directory at the target path makes the final rename fail:
+  // the write reports IOError and removes its temp file.
+  const std::filesystem::path target = path_ + ".dir";
+  std::filesystem::create_directories(target / "child");
+  const Status st = WriteSectionFile(target.string(), FileKind::kGraph, {});
+  EXPECT_EQ(st.code(), Status::Code::kIOError) << st.ToString();
+  for (const auto& entry :
+       std::filesystem::directory_iterator(target.parent_path())) {
+    EXPECT_NE(entry.path().filename().string().rfind(
+                  target.filename().string() + ".tmp", 0),
+              0u)
+        << "leftover temp file: " << entry.path();
+  }
+  std::filesystem::remove_all(target);
 }
 
 TEST_F(StoreFormatTest, SectionNameTooLongRejectedOnWrite) {

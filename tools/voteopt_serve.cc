@@ -74,10 +74,11 @@ Sketch build fallback (when a bundle has no persisted sketch):
   --build_threads=<N>    sketch-builder threads (0 = one per core)
   --save_sketch=0|1      persist a freshly built sketch (default 1)
   --build_only           build + persist the sketch(es), then exit
-  --block_budget_bytes=<N>  build out of core: partition the graph into
-                         node-range blocks of at most N resident bytes and
-                         stream walks block-at-a-time (0 = in-memory build;
-                         the sketch is bit-identical either way)
+  --block_budget_bytes=<N>  build and repair out of core: partition the
+                         graph into node-range blocks of at most N
+                         estimated bytes and compile one block's alias
+                         tables at a time (0 = in-memory build; the sketch
+                         is bit-identical either way)
 
 Serving:
   --threads=<N>          query worker threads (0 = one per core; default 1;
@@ -107,9 +108,6 @@ socket is the same newline-JSON, answers bit-identical to the stdin path):
                          (default 256)
   --net_batch_max=<N>    largest engine batch window assembled from one
                          dataset's queue (default 64)
-  --net_coalesce_us=<N>  microseconds a non-full window waits for more
-                         requests before dispatching (default 0: dispatch
-                         immediately; batching still emerges under load)
   --net_executors=<N>    engine batch windows in flight at once (default 2)
   --net_read_timeout_ms=<N>  drop a connection holding an unterminated
                          request line longer than this (slow-loris
@@ -277,8 +275,6 @@ int main(int argc, char** argv) {
         static_cast<size_t>(options.GetInt("net_queue_depth", 256));
     server_options.batch.batch_max =
         static_cast<size_t>(options.GetInt("net_batch_max", 64));
-    server_options.batch.coalesce_micros =
-        static_cast<uint32_t>(options.GetInt("net_coalesce_us", 0));
     server_options.batch.num_executors =
         static_cast<uint32_t>(options.GetInt("net_executors", 2));
     if (engine_options.enable_metrics) {
