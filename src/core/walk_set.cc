@@ -1,5 +1,6 @@
 #include "core/walk_set.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace voteopt::core {
@@ -68,6 +69,147 @@ std::unique_ptr<WalkSet> WalkSet::ShareFrozen(
          "owned frozen data must be pinned by the caller");
   return AdoptFrozen(num_nodes_, frozen_,
                      adopted_ ? keep_alive_ : std::move(keep_alive));
+}
+
+namespace {
+
+/// Appends `ends` (a run of offset-array entries) moved by `shift`.
+/// Unsigned wrap-around makes a backwards move an ordinary addition.
+void AppendShifted(std::span<const uint64_t> ends, uint64_t shift,
+                   std::vector<uint64_t>* out) {
+  const size_t at = out->size();
+  out->insert(out->end(), ends.begin(), ends.end());
+  for (size_t i = at; i < out->size(); ++i) (*out)[i] += shift;
+}
+
+}  // namespace
+
+std::unique_ptr<WalkSet> WalkSet::Splice(
+    const WalkSet& base, std::span<const uint64_t> walk_indices,
+    const WalkBuffer& replacements) {
+  assert(base.finalized_);
+  assert(walk_indices.size() == replacements.num_walks());
+  const Frozen& from = base.frozen_;
+  const uint32_t n = base.num_nodes_;
+  const size_t walks = from.starts.size();
+  auto set = std::unique_ptr<WalkSet>(new WalkSet(n));
+
+  // Walks: runs of kept walks copy between the replaced ones, each run's
+  // offsets (stored as walk ends after the leading 0) shifted by how far
+  // the run moved.
+  uint64_t replaced_nodes = 0;
+  for (const uint64_t j : walk_indices) {
+    replaced_nodes += from.offsets[j + 1] - from.offsets[j];
+  }
+  set->nodes_.reserve(from.nodes.size() - replaced_nodes +
+                      replacements.nodes.size());
+  set->offsets_.reserve(walks + 1);
+  uint64_t kept_begin = 0;
+  auto copy_kept = [&](uint64_t end) {  // kept walks [kept_begin, end)
+    const uint64_t first = from.offsets[kept_begin];
+    AppendShifted(from.offsets.subspan(kept_begin + 1, end - kept_begin),
+                  set->nodes_.size() - first, &set->offsets_);
+    set->nodes_.insert(set->nodes_.end(), from.nodes.begin() + first,
+                       from.nodes.begin() + from.offsets[end]);
+  };
+  uint64_t next = 0;  // the next replacement's first node
+  for (size_t i = 0; i < walk_indices.size(); ++i) {
+    const uint64_t j = walk_indices[i];
+    assert(j >= kept_begin && j < walks);
+    assert(replacements.nodes[next] == from.starts[j]);
+    copy_kept(j);
+    const uint32_t len = replacements.lengths[i];
+    set->nodes_.insert(set->nodes_.end(), replacements.nodes.begin() + next,
+                       replacements.nodes.begin() + next + len);
+    set->offsets_.push_back(set->nodes_.size());
+    next += len;
+    kept_begin = j + 1;
+  }
+  copy_kept(walks);
+  set->starts_.assign(from.starts.begin(), from.starts.end());
+  set->lambda_.assign(from.lambda.begin(), from.lambda.end());
+  set->start_weight_.assign(from.start_weight.begin(),
+                            from.start_weight.end());
+
+  // Index edits. A replaced walk's base postings leave; a node is changed
+  // when a replaced walk or a replacement visits it.
+  std::vector<uint8_t> replaced(walks, 0);
+  std::vector<uint8_t> changed(n, 0);
+  for (const uint64_t j : walk_indices) {
+    replaced[j] = 1;
+    for (uint64_t i = from.offsets[j]; i < from.offsets[j + 1]; ++i) {
+      changed[from.nodes[i]] = 1;
+    }
+  }
+  // The replacements' first-occurrence postings, bucketed by node with a
+  // counting sort. They arrive in ascending walk order, so every bucket is
+  // walk-ascending.
+  struct Arrival {
+    graph::NodeId node;
+    Posting posting;
+  };
+  std::vector<Arrival> arrivals;
+  constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+  std::vector<uint32_t> last_seen(n, kNone);
+  next = 0;
+  for (size_t i = 0; i < walk_indices.size(); ++i) {
+    const auto walk = static_cast<uint32_t>(walk_indices[i]);
+    for (uint32_t pos = 0; pos < replacements.lengths[i]; ++pos) {
+      const graph::NodeId v = replacements.nodes[next + pos];
+      if (last_seen[v] == walk) continue;
+      last_seen[v] = walk;
+      changed[v] = 1;
+      arrivals.push_back({v, {walk, pos}});
+    }
+    next += replacements.lengths[i];
+  }
+  std::vector<uint64_t> added_offsets(n + size_t{1}, 0);
+  for (const Arrival& e : arrivals) ++added_offsets[e.node + 1];
+  for (uint32_t v = 0; v < n; ++v) added_offsets[v + 1] += added_offsets[v];
+  std::vector<Posting> added(arrivals.size());
+  std::vector<uint64_t> cursor(added_offsets.begin(), added_offsets.end() - 1);
+  for (const Arrival& e : arrivals) added[cursor[e.node]++] = e.posting;
+
+  // Patch: untouched node ranges copy their postings and shifted offsets;
+  // a changed node merges its surviving base postings with its added ones
+  // by walk. A surviving posting's walk is never a replaced one, so the
+  // two never tie.
+  const std::span<const uint64_t> old_offsets = from.index_offsets;
+  std::vector<Posting>& entries = set->index_entries_;
+  entries.reserve(from.index_entries.size() + added.size());
+  set->index_offsets_.reserve(n + size_t{1});
+  set->index_offsets_.push_back(0);
+  graph::NodeId untouched_begin = 0;
+  auto copy_untouched = [&](graph::NodeId end) {  // [untouched_begin, end)
+    const uint64_t first = old_offsets[untouched_begin];
+    AppendShifted(old_offsets.subspan(untouched_begin + 1,
+                                      end - untouched_begin),
+                  entries.size() - first, &set->index_offsets_);
+    entries.insert(entries.end(), from.index_entries.begin() + first,
+                   from.index_entries.begin() + old_offsets[end]);
+  };
+  for (graph::NodeId v = 0; v < n; ++v) {
+    if (!changed[v]) continue;
+    copy_untouched(v);
+    auto next_added = added.begin() + added_offsets[v];
+    const auto added_end = added.begin() + added_offsets[v + 1];
+    for (const Posting& p : base.PostingsOf(v)) {
+      if (replaced[p.walk]) continue;
+      for (; next_added != added_end && next_added->walk < p.walk;
+           ++next_added) {
+        entries.push_back(*next_added);
+      }
+      entries.push_back(p);
+    }
+    entries.insert(entries.end(), next_added, added_end);
+    set->index_offsets_.push_back(entries.size());
+    untouched_begin = v + 1;
+  }
+  copy_untouched(n);
+
+  set->FreezeOwned();
+  set->finalized_ = true;
+  return set;
 }
 
 void WalkSet::AddWalk(const std::vector<graph::NodeId>& walk_nodes) {

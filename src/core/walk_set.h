@@ -13,21 +13,23 @@
 //
 // A WalkSet is split into two layers:
 //  * FROZEN data — the walk nodes, offsets, starts, per-node walk counts
-//    and weights, and the inverted index. Immutable after Finalize, exposed
-//    as spans for serialization (store/), and adoptable from externally
-//    owned memory (e.g. an mmap'd sketch file) without copying.
+//    and weights, and the inverted index. Immutable after Finalize or
+//    Splice, exposed as spans for serialization (store/), and adoptable
+//    from externally owned memory (e.g. an mmap'd sketch file) without
+//    copying.
 //  * DYNAMIC state — per-walk values / effective lengths and per-node
 //    estimate sums under the current seed set. Always owned, mutated by
 //    Truncate, and rebuildable in O(total walk nodes) with ResetValues so
-//    one frozen sketch can serve many queries.
+//    one frozen sketch can serve many queries. Adopted and spliced sets
+//    are frozen-only: they have no dynamic state until ResetValues.
 //
 // Threading contract (docs/ARCHITECTURE.md): the frozen layer is immutable
-// after Finalize/AdoptFrozen and safe to read from any number of threads;
-// the dynamic state is single-owner and must only be touched by one thread
-// at a time. ShareFrozen clones a WalkSet by aliasing the frozen spans
-// (zero-copy) while giving the clone its own dynamic state — that is how a
-// concurrent server runs independent truncation-heavy queries against one
-// shared sketch without locks.
+// after Finalize/Splice/AdoptFrozen and safe to read from any number of
+// threads; the dynamic state is single-owner and must only be touched by
+// one thread at a time. ShareFrozen clones a WalkSet by aliasing the frozen
+// spans (zero-copy) while giving the clone its own dynamic state — that is
+// how a concurrent server runs independent truncation-heavy queries against
+// one shared sketch without locks.
 #ifndef VOTEOPT_CORE_WALK_SET_H_
 #define VOTEOPT_CORE_WALK_SET_H_
 
@@ -105,6 +107,21 @@ class WalkSet {
   std::unique_ptr<WalkSet> ShareFrozen(
       std::shared_ptr<const void> keep_alive = nullptr) const;
 
+  /// `base` with walk walk_indices[i] (ascending, unique) replaced by walk
+  /// i of `replacements`; every replacement must start where the walk it
+  /// replaces starts. One pass over the frozen layer: kept walks copy as
+  /// runs with shifted offsets, starts, lambda and start weights copy from
+  /// `base`, and the inverted index is patched — untouched node ranges
+  /// copy verbatim, and a changed node keeps its base postings minus the
+  /// replaced walks' and merges in the replacements' first occurrences in
+  /// ascending walk order, the order Finalize emits. The frozen bytes
+  /// equal AddWalks + Finalize over the spliced walk list with the base's
+  /// start weights. The result is frozen-only: call ResetValues before
+  /// reading values. `base` may be owned or adopted.
+  static std::unique_ptr<WalkSet> Splice(
+      const WalkSet& base, std::span<const uint64_t> walk_indices,
+      const WalkBuffer& replacements);
+
   /// Appends a walk; `nodes` must be non-empty and nodes[0] is the start.
   void AddWalk(const std::vector<graph::NodeId>& nodes);
 
@@ -120,9 +137,9 @@ class WalkSet {
 
   /// (Re-)derives the dynamic state from `initial_opinions`, undoing every
   /// truncation in one O(num_walks) pass — far cheaper than regenerating
-  /// walks or rebuilding the index. Requires Finalize or AdoptFrozen; this
-  /// is how a persisted sketch is reused across queries (and across
-  /// updated campaign opinions).
+  /// walks or rebuilding the index. Requires Finalize, Splice or
+  /// AdoptFrozen; this is how a persisted sketch is reused across queries
+  /// (and across updated campaign opinions).
   void ResetValues(const std::vector<double>& initial_opinions);
 
   // --- static shape -------------------------------------------------------
@@ -138,8 +155,9 @@ class WalkSet {
   size_t total_index_entries() const { return frozen_.index_entries.size(); }
   size_t memory_bytes() const;
 
-  /// The frozen layer (requires Finalize / AdoptFrozen). This is what the
-  /// sketch store serializes; saving is a pure function of these spans.
+  /// The frozen layer (requires Finalize / Splice / AdoptFrozen). This is
+  /// what the sketch store serializes; saving is a pure function of these
+  /// spans.
   const Frozen& frozen() const { return frozen_; }
   /// True when the frozen data lives in adopted external storage.
   bool adopted() const { return adopted_; }

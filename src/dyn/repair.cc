@@ -1,5 +1,7 @@
 #include "dyn/repair.h"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -28,20 +30,18 @@ Result<RepairOutcome> SketchRepairer::Repair(
   }
 
   // Dirty-walk set: the inverted index maps each dirty node to every walk
-  // whose trajectory contains it. Flags (not a set) keep the sweep O(theta)
-  // and the resulting index list ascending — the deterministic order the
-  // regeneration and reassembly below both use.
+  // whose trajectory contains it. Sorted and deduplicated, the union is
+  // the ascending walk order the regeneration and the splice below use.
   const uint64_t theta = base.num_walks();
-  std::vector<uint8_t> dirty_walk(theta, 0);
+  std::vector<uint64_t> dirty_indices;
   for (graph::NodeId v : dirty_nodes) {
     for (const core::WalkSet::Posting& p : base.PostingsOf(v)) {
-      dirty_walk[p.walk] = 1;
+      dirty_indices.push_back(p.walk);
     }
   }
-  std::vector<uint64_t> dirty_indices;
-  for (uint64_t j = 0; j < theta; ++j) {
-    if (dirty_walk[j]) dirty_indices.push_back(j);
-  }
+  std::sort(dirty_indices.begin(), dirty_indices.end());
+  dirty_indices.erase(std::unique(dirty_indices.begin(), dirty_indices.end()),
+                      dirty_indices.end());
 
   RepairOutcome outcome;
   outcome.stats.walks_total = theta;
@@ -86,49 +86,24 @@ Result<RepairOutcome> SketchRepairer::Repair(
         patched, *base_alias, dirty_nodes);
   }
 
-  // Reassemble the full sketch in walk-index order: clean walks splice
-  // their bytes from the base's frozen layer, dirty walks take the next
-  // regenerated row. One AddWalks + Finalize + ApplySketchWeights — the
-  // exact construction sequence of both from-scratch builders, which is
-  // what makes bit-identity hold by construction rather than by audit.
-  const core::WalkSet::Frozen& frozen = base.frozen();
-  std::vector<uint64_t> regen_offsets(regen.lengths.size() + 1, 0);
-  for (size_t i = 0; i < regen.lengths.size(); ++i) {
-    regen_offsets[i + 1] = regen_offsets[i] + regen.lengths[i];
-  }
-
-  core::WalkBuffer assembled;
-  assembled.lengths.reserve(theta);
-  uint64_t clean_nodes = 0;
-  for (uint64_t j = 0; j < theta; ++j) {
-    if (!dirty_walk[j]) clean_nodes += frozen.offsets[j + 1] - frozen.offsets[j];
-  }
-  assembled.nodes.reserve(clean_nodes + regen.nodes.size());
-  size_t next_regen = 0;
-  for (uint64_t j = 0; j < theta; ++j) {
-    if (dirty_walk[j]) {
-      const uint64_t begin = regen_offsets[next_regen];
-      const uint64_t len = regen.lengths[next_regen];
-      assembled.nodes.insert(assembled.nodes.end(),
-                             regen.nodes.begin() + begin,
-                             regen.nodes.begin() + begin + len);
-      assembled.lengths.push_back(static_cast<uint32_t>(len));
-      ++next_regen;
-    } else {
-      const uint64_t begin = frozen.offsets[j];
-      const uint64_t len = frozen.offsets[j + 1] - begin;
-      assembled.nodes.insert(assembled.nodes.end(),
-                             frozen.nodes.begin() + begin,
-                             frozen.nodes.begin() + begin + len);
-      assembled.lengths.push_back(static_cast<uint32_t>(len));
+  // A regenerated walk keeps its start: the first draw of walk j's stream
+  // picks it before any graph read. A mismatch means meta.master_seed did
+  // not build `base`, and splicing would pair the base's starts, lambda and
+  // weights with walks that begin elsewhere.
+  uint64_t first_node = 0;
+  for (size_t i = 0; i < dirty_indices.size(); ++i) {
+    const uint32_t j = static_cast<uint32_t>(dirty_indices[i]);
+    if (regen.nodes[first_node] != base.StartOf(j)) {
+      return Status::FailedPrecondition(
+          "repair: regenerated walk " + std::to_string(j) +
+          " starts at node " + std::to_string(regen.nodes[first_node]) +
+          " but the sketch's walk " + std::to_string(j) + " starts at node " +
+          std::to_string(base.StartOf(j)) +
+          " — meta.master_seed did not build this sketch");
     }
+    first_node += regen.lengths[i];
   }
-
-  auto repaired = std::make_unique<core::WalkSet>(n);
-  repaired->AddWalks(assembled);
-  repaired->Finalize(campaign.initial_opinions);
-  core::ApplySketchWeights(repaired.get(), n, theta);
-  outcome.sketch = std::move(repaired);
+  outcome.sketch = core::WalkSet::Splice(base, dirty_indices, regen);
   return outcome;
 }
 

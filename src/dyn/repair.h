@@ -10,16 +10,21 @@
 // walks that must be regenerated are precisely those whose trajectories
 // visit a dirty node, and the WalkSet's inverted index (node -> walks
 // containing it) IS the walk -> visited-nodes index read backwards: the
-// dirty-walk set is the union of PostingsOf(v) over dirty v. Regenerating
-// those walks from their seeded streams against the patched CSR — with a
-// row-level alias rebuild for mutated rows only — and reassembling in
-// walk-index order therefore yields a WalkSet BIT-IDENTICAL to a
-// from-scratch rebuild over the mutated graph, for any mutation schedule,
-// thread count, and both the in-memory and out-of-core build paths.
+// dirty-walk set is the union of PostingsOf(v) over dirty v. Repair
+// regenerates those walks from their seeded streams against the patched
+// CSR — with a row-level alias rebuild for mutated rows only — and
+// core::WalkSet::Splice puts them in place in one pass: clean walks keep
+// their bytes, and the inverted index is patched (the dirty walks'
+// postings leave, the regenerated walks' merge in by walk, the order a
+// full index build emits) rather than rebuilt. The result is
+// BIT-IDENTICAL to a from-scratch rebuild over the mutated graph, for any
+// mutation schedule, thread count, and both the in-memory and out-of-core
+// regeneration paths; core_walk_test's splice property test and
+// dyn_equivalence_test pin it.
 //
 // Opinion mutations never dirty a node: trajectories depend only on the
 // graph and stubbornness, so set_opinion costs zero walk regenerations
-// (the registry re-derives the dynamic state from the new opinions).
+// (every query re-derives the value layer from the new opinions).
 #ifndef VOTEOPT_DYN_REPAIR_H_
 #define VOTEOPT_DYN_REPAIR_H_
 
@@ -56,8 +61,10 @@ struct RepairStats {
 };
 
 struct RepairOutcome {
-  /// Finalized, weighted — byte-for-byte what a from-scratch build over
-  /// the patched graph produces.
+  /// The repaired sketch: its frozen layer is byte-for-byte what a
+  /// from-scratch build over the patched graph produces. Frozen-only, like
+  /// an mmap-loaded sketch: readers take a ShareFrozen view and call
+  /// ResetValues, as every query does.
   std::unique_ptr<core::WalkSet> sketch;
   /// Alias tables over the patched graph, for the next repair's row-level
   /// reuse. Null on the OOC path (each block compiles its own range's
@@ -74,6 +81,8 @@ class SketchRepairer {
   /// changed; `base_alias` — alias tables over the PRE-mutation graph —
   /// enables the row-level incremental alias rebuild and may be null
   /// (full rebuild of the tables, walks still repaired incrementally).
+  /// FailedPrecondition when a regenerated walk starts elsewhere than the
+  /// base walk it replaces: `meta.master_seed` did not build `base`.
   static Result<RepairOutcome> Repair(const core::WalkSet& base,
                                       const graph::Graph& patched,
                                       const opinion::Campaign& campaign,

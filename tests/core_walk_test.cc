@@ -1,15 +1,22 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "core/accuracy.h"
 #include "core/estimated_greedy.h"
 #include "core/greedy_dm.h"
 #include "core/rw_greedy.h"
+#include "core/sketch.h"
 #include "core/walk_engine.h"
 #include "core/walk_set.h"
 #include "graph/alias_table.h"
 #include "test_fixtures.h"
+#include "util/rng.h"
 #include "util/stats.h"
 
 namespace voteopt::core {
@@ -132,6 +139,163 @@ TEST(WalkSetTest, TruncationAtStartPosition) {
   walks.Truncate(1, [](uint32_t, double) {});
   EXPECT_EQ(walks.EffectiveLen(0), 1u);
   EXPECT_DOUBLE_EQ(walks.Value(0), 1.0);  // seeding the start itself
+}
+
+// ---------------------------------------------------------------------------
+// WalkSet::Splice: replacing walks in one pass, with a patched index, lands
+// on the bytes of a full build over the spliced walk list (the assembly
+// step of dyn repair, determinism ledger entry 10).
+// ---------------------------------------------------------------------------
+
+using WalkList = std::vector<std::vector<graph::NodeId>>;
+
+WalkBuffer ToBuffer(const WalkList& walks) {
+  WalkBuffer buffer;
+  for (const auto& walk : walks) {
+    buffer.nodes.insert(buffer.nodes.end(), walk.begin(), walk.end());
+    buffer.lengths.push_back(static_cast<uint32_t>(walk.size()));
+  }
+  return buffer;
+}
+
+/// The from-scratch construction sequence of the sketch builders.
+std::unique_ptr<WalkSet> BuildWeighted(uint32_t n, const WalkList& walks,
+                                       const std::vector<double>& opinions) {
+  auto set = std::make_unique<WalkSet>(n);
+  set->AddWalks(ToBuffer(walks));
+  set->Finalize(opinions);
+  ApplySketchWeights(set.get(), n, walks.size());
+  return set;
+}
+
+template <typename T>
+::testing::AssertionResult SameBytes(std::span<const T> a,
+                                     std::span<const T> b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "sizes " << a.size() << " vs " << b.size();
+  }
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i], &b[i], sizeof(T)) != 0) {
+      return ::testing::AssertionFailure() << "first difference at " << i;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Splices `replacements` over walks `indices` of a base built from
+/// `walks` (adopted through AdoptFrozen when `adopt`), and compares the
+/// result with a full build over the spliced list: every frozen array byte
+/// for byte, then values, effective lengths and estimates after
+/// ResetValues on both sides.
+void ExpectSpliceMatchesFinalize(uint32_t n, const WalkList& walks,
+                                 const std::vector<uint64_t>& indices,
+                                 const WalkList& replacements,
+                                 const std::vector<double>& opinions,
+                                 bool adopt) {
+  std::shared_ptr<const WalkSet> owner = BuildWeighted(n, walks, opinions);
+  std::shared_ptr<const WalkSet> base = owner;
+  if (adopt) base = owner->ShareFrozen(owner);
+  ASSERT_EQ(base->adopted(), adopt);
+  const auto spliced =
+      WalkSet::Splice(*base, indices, ToBuffer(replacements));
+  EXPECT_FALSE(spliced->adopted());
+
+  WalkList expected_walks = walks;
+  for (size_t i = 0; i < indices.size(); ++i) {
+    expected_walks[indices[i]] = replacements[i];
+  }
+  const auto expected = BuildWeighted(n, expected_walks, opinions);
+  const WalkSet::Frozen& got = spliced->frozen();
+  const WalkSet::Frozen& want = expected->frozen();
+  EXPECT_TRUE(SameBytes(got.nodes, want.nodes)) << "nodes";
+  EXPECT_TRUE(SameBytes(got.offsets, want.offsets)) << "offsets";
+  EXPECT_TRUE(SameBytes(got.starts, want.starts)) << "starts";
+  EXPECT_TRUE(SameBytes(got.lambda, want.lambda)) << "lambda";
+  EXPECT_TRUE(SameBytes(got.start_weight, want.start_weight))
+      << "start weights";
+  EXPECT_TRUE(SameBytes(got.index_offsets, want.index_offsets))
+      << "index offsets";
+  EXPECT_TRUE(SameBytes(got.index_entries, want.index_entries))
+      << "index entries";
+
+  spliced->ResetValues(opinions);
+  expected->ResetValues(opinions);
+  ASSERT_EQ(spliced->num_walks(), expected->num_walks());
+  for (uint32_t w = 0; w < spliced->num_walks(); ++w) {
+    ASSERT_EQ(spliced->Value(w), expected->Value(w)) << "walk " << w;
+    ASSERT_EQ(spliced->EffectiveLen(w), expected->EffectiveLen(w))
+        << "walk " << w;
+  }
+  for (graph::NodeId v = 0; v < n; ++v) {
+    ASSERT_EQ(spliced->EstimatedOpinion(v), expected->EstimatedOpinion(v))
+        << "node " << v;
+  }
+}
+
+TEST(WalkSetTest, SpliceMatchesFinalize) {
+  const std::vector<double> opinions5{0.1, 0.3, 0.5, 0.7, 0.9};
+  // Base: node 4 never occurs; node 1 occurs in walks 0 and 2 only.
+  const WalkList base = {{0, 1, 2}, {3, 2}, {2, 1}, {0}, {3, 0, 3}};
+  for (const bool adopt : {false, true}) {
+    SCOPED_TRACE(adopt ? "adopted base" : "owned base");
+    // No walk replaced: the splice is a copy.
+    ExpectSpliceMatchesFinalize(5, base, {}, {}, opinions5, adopt);
+    // Every walk replaced.
+    ExpectSpliceMatchesFinalize(
+        5, base, {0, 1, 2, 3, 4},
+        {{0, 4}, {3}, {2, 2, 0}, {0, 1, 3, 4}, {3, 2}}, opinions5, adopt);
+    // The first and the last walk; longer and shorter replacements.
+    ExpectSpliceMatchesFinalize(5, base, {0, 4}, {{0, 3, 2, 1, 4, 0}, {3}},
+                                opinions5, adopt);
+    // Equal lengths, different nodes.
+    ExpectSpliceMatchesFinalize(5, base, {1, 3}, {{3, 0}, {0}}, opinions5,
+                                adopt);
+    // Node 1 loses every posting; node 4 gains its first.
+    ExpectSpliceMatchesFinalize(5, base, {0, 2}, {{0, 4, 2}, {2, 4}},
+                                opinions5, adopt);
+    // A node twice in one replacement: only its first position is posted.
+    ExpectSpliceMatchesFinalize(5, base, {2}, {{2, 0, 2, 0, 1, 2}},
+                                opinions5, adopt);
+  }
+
+  // Seeded random rounds: n <= 12, theta <= 64, lengths 1-6, repeats
+  // allowed; the replaced subset ranges from none to all.
+  Rng rng(2024);
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto n = static_cast<uint32_t>(1 + rng.UniformInt(12));
+    const uint64_t theta = 1 + rng.UniformInt(64);
+    auto random_walk = [&](graph::NodeId start) {
+      std::vector<graph::NodeId> walk{start};
+      const uint64_t extra = rng.UniformInt(6);
+      for (uint64_t i = 0; i < extra; ++i) {
+        walk.push_back(static_cast<graph::NodeId>(rng.UniformInt(n)));
+      }
+      return walk;
+    };
+    WalkList walks;
+    for (uint64_t j = 0; j < theta; ++j) {
+      walks.push_back(
+          random_walk(static_cast<graph::NodeId>(rng.UniformInt(n))));
+    }
+    std::vector<double> opinions(n);
+    for (double& b : opinions) b = rng.Uniform();
+    const double share = round % 5 == 0   ? 0.0
+                         : round % 5 == 1 ? 1.0
+                                          : rng.Uniform();
+    std::vector<uint64_t> indices;
+    WalkList replacements;
+    for (uint64_t j = 0; j < theta; ++j) {
+      if (share == 1.0 || rng.Uniform() < share) {
+        indices.push_back(j);
+        replacements.push_back(random_walk(walks[j].front()));
+      }
+    }
+    ExpectSpliceMatchesFinalize(n, walks, indices, replacements, opinions,
+                                /*adopt=*/round % 2 == 1);
+    if (HasFatalFailure()) return;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -29,15 +29,18 @@ namespace voteopt::dyn {
 namespace {
 
 using test::MakeRandomInstance;
+using test::QueryView;
 using test::RandomInstance;
 
 constexpr uint32_t kHorizon = 6;
 constexpr uint64_t kTheta = 4000;
 constexpr uint64_t kSeed = 99;
 
-// Byte-for-byte equality of the full frozen layer plus the dynamic values
-// (the same obligation sketch_ooc_equivalence_test states for ledger #7).
-void ExpectBitIdentical(const core::WalkSet& a, const core::WalkSet& b) {
+// Byte-for-byte equality of the full frozen layer plus the values a query
+// reads, on views reset from `opinions` (the same obligation
+// sketch_ooc_equivalence_test states for ledger #7).
+void ExpectBitIdentical(const core::WalkSet& a, const core::WalkSet& b,
+                        const std::vector<double>& opinions) {
   const auto& fa = a.frozen();
   const auto& fb = b.frozen();
   ASSERT_EQ(fa.nodes.size(), fb.nodes.size());
@@ -67,9 +70,11 @@ void ExpectBitIdentical(const core::WalkSet& a, const core::WalkSet& b) {
     ASSERT_EQ(fa.index_entries[i].pos, fb.index_entries[i].pos);
   }
   ASSERT_EQ(a.num_walks(), b.num_walks());
+  const auto va = QueryView(a, opinions);
+  const auto vb = QueryView(b, opinions);
   for (uint32_t w = 0; w < a.num_walks(); ++w) {
-    ASSERT_EQ(a.Value(w), b.Value(w)) << "value of walk " << w;
-    ASSERT_EQ(a.EffectiveLen(w), b.EffectiveLen(w)) << "len of walk " << w;
+    ASSERT_EQ(va->Value(w), vb->Value(w)) << "value of walk " << w;
+    ASSERT_EQ(va->EffectiveLen(w), vb->EffectiveLen(w)) << "len of walk " << w;
   }
 }
 
@@ -160,7 +165,8 @@ TEST(DynEquivalenceTest, RepairMatchesRebuildAcrossSchedulesAndThreads) {
           *base, patched->graph, patched->state.campaigns[0], meta,
           patched->dirty_nodes, /*base_alias=*/nullptr, options);
       ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-      ExpectBitIdentical(*rebuilt, *outcome->sketch);
+      ExpectBitIdentical(*rebuilt, *outcome->sketch,
+                         patched->state.campaigns[0].initial_opinions);
       EXPECT_EQ(outcome->stats.walks_total, kTheta);
       EXPECT_EQ(outcome->stats.dirty_nodes, patched->dirty_nodes.size());
       EXPECT_GT(outcome->stats.walks_repaired, 0u);
@@ -193,7 +199,8 @@ TEST(DynEquivalenceTest, SequentialBatchesChainRowLevelAliasRebuilds) {
       patched1->dirty_nodes, base_alias.get(), options);
   ASSERT_TRUE(outcome1.ok()) << outcome1.status().ToString();
   ExpectBitIdentical(*BuildFromScratch(patched1->graph, patched1->state),
-                     *outcome1->sketch);
+                     *outcome1->sketch,
+                     patched1->state.campaigns[0].initial_opinions);
 
   auto patched2 = ApplyMutations(patched1->graph, patched1->state,
                                  std::vector<Mutation>{
@@ -205,7 +212,8 @@ TEST(DynEquivalenceTest, SequentialBatchesChainRowLevelAliasRebuilds) {
       patched2->dirty_nodes, outcome1->alias.get(), options);
   ASSERT_TRUE(outcome2.ok()) << outcome2.status().ToString();
   ExpectBitIdentical(*BuildFromScratch(patched2->graph, patched2->state),
-                     *outcome2->sketch);
+                     *outcome2->sketch,
+                     patched2->state.campaigns[0].initial_opinions);
 }
 
 TEST(DynEquivalenceTest, OocRepairPathMatchesInMemoryAndRebuild) {
@@ -231,7 +239,8 @@ TEST(DynEquivalenceTest, OocRepairPathMatchesInMemoryAndRebuild) {
         *base, patched->graph, patched->state.campaigns[0], meta,
         patched->dirty_nodes, /*base_alias=*/nullptr, options);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-    ExpectBitIdentical(*rebuilt, *outcome->sketch);
+    ExpectBitIdentical(*rebuilt, *outcome->sketch,
+                       patched->state.campaigns[0].initial_opinions);
     EXPECT_EQ(outcome->alias, nullptr);  // OOC path builds no tables
   }
 }
@@ -254,16 +263,16 @@ TEST(DynEquivalenceTest, OpinionOnlyBatchKeepsGraphAndTrajectories) {
   const auto b = inst.graph.InWeightsRaw();
   for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
 
-  // Repair with zero dirty nodes re-finalizes under the new opinions and
-  // still matches the rebuild (trajectory layer untouched, value layer
-  // re-derived).
+  // Repair with zero dirty nodes copies the frozen layer, and views reset
+  // from the new opinions still match the rebuild.
   auto outcome = SketchRepairer::Repair(
       *base, patched->graph, patched->state.campaigns[0], meta,
       patched->dirty_nodes, /*base_alias=*/nullptr, RepairOptions{});
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_EQ(outcome->stats.walks_repaired, 0u);
   ExpectBitIdentical(*BuildFromScratch(patched->graph, patched->state),
-                     *outcome->sketch);
+                     *outcome->sketch,
+                     patched->state.campaigns[0].initial_opinions);
 }
 
 TEST(DynEquivalenceTest, SeedSelectionMatchesForAllFiveRules) {
@@ -293,6 +302,8 @@ TEST(DynEquivalenceTest, SeedSelectionMatchesForAllFiveRules) {
         *base, patched->graph, patched->state.campaigns[0], meta,
         patched->dirty_nodes, /*base_alias=*/nullptr, RepairOptions{});
     ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
+    // A repaired sketch is frozen-only; select the way a query does.
+    repaired->sketch->ResetValues(patched->state.campaigns[0].initial_opinions);
     const auto rebuilt =
         BuildFromScratch(patched->graph, patched->state, /*theta=*/6000);
 
@@ -322,7 +333,32 @@ TEST(DynEquivalenceTest, SeedZeroSketchRepairsLikeRebuild) {
   EXPECT_GT(outcome->stats.walks_repaired, 0u);
   const auto rebuilt = BuildFromScratch(patched->graph, patched->state,
                                         kTheta, /*seed=*/0);
-  ExpectBitIdentical(*outcome->sketch, *rebuilt);
+  ExpectBitIdentical(*outcome->sketch, *rebuilt,
+                     patched->state.campaigns[0].initial_opinions);
+}
+
+TEST(DynEquivalenceTest, RepairRejectsMetaSeedThatDidNotBuildTheSketch) {
+  // The splice keeps each repaired walk's start, lambda and weight from the
+  // base, which holds only if meta.master_seed built the base: walk j's
+  // first draw is its start. A wrong seed must fail, not splice walks onto
+  // starts they do not have.
+  auto inst = MakeRandomInstance(120, 700, 2, 41);
+  const auto base = BuildFromScratch(inst.graph, inst.state);
+  auto patched = ApplyMutations(inst.graph, inst.state, Schedules(inst)[0]);
+  ASSERT_TRUE(patched.ok()) << patched.status().ToString();
+  for (const uint64_t budget : {uint64_t{0}, uint64_t{2048}}) {
+    SCOPED_TRACE("block_budget_bytes=" + std::to_string(budget));
+    RepairOptions options;
+    options.block_budget_bytes = budget;
+    auto outcome = SketchRepairer::Repair(
+        *base, patched->graph, patched->state.campaigns[0],
+        MetaFor(kTheta, kSeed + 1), patched->dirty_nodes, nullptr, options);
+    ASSERT_FALSE(outcome.ok());
+    EXPECT_EQ(outcome.status().code(), Status::Code::kFailedPrecondition);
+    EXPECT_NE(outcome.status().message().find("regenerated walk"),
+              std::string::npos)
+        << outcome.status().ToString();
+  }
 }
 
 TEST(DynEquivalenceTest, EngineHostedWithSeedZeroAcceptsEdgeAdd) {

@@ -22,12 +22,16 @@
 #include "dyn/mutation.h"
 #include "graph/alias_table.h"
 #include "opinion/fj_model.h"
+#include "test_fixtures.h"
 #include "voting/evaluator.h"
 
 namespace voteopt::dyn {
 namespace {
 
-void ExpectSameFrozenBytes(const core::WalkSet& a, const core::WalkSet& b) {
+// Equal walk bytes and offsets, and equal values on query views reset
+// from `opinions`.
+void ExpectSameFrozenBytes(const core::WalkSet& a, const core::WalkSet& b,
+                           const std::vector<double>& opinions) {
   const auto& fa = a.frozen();
   const auto& fb = b.frozen();
   ASSERT_EQ(fa.nodes.size(), fb.nodes.size());
@@ -39,9 +43,15 @@ void ExpectSameFrozenBytes(const core::WalkSet& a, const core::WalkSet& b) {
     ASSERT_EQ(fa.offsets[i], fb.offsets[i]) << "offset " << i;
   }
   ASSERT_EQ(a.num_walks(), b.num_walks());
+  const auto va = test::QueryView(a, opinions);
+  const auto vb = test::QueryView(b, opinions);
   for (uint32_t w = 0; w < a.num_walks(); ++w) {
-    ASSERT_EQ(a.Value(w), b.Value(w)) << "value of walk " << w;
+    ASSERT_EQ(va->Value(w), vb->Value(w)) << "value of walk " << w;
   }
+}
+
+const std::vector<double>& TargetOpinions(api::Engine& engine) {
+  return engine.registry().Resolve("").value()->target_opinions();
 }
 
 std::vector<Mutation> SampleMutations() {
@@ -205,10 +215,11 @@ TEST_F(DynCrashRecoveryTest, ReplayReconstructsThePreCrashInstance) {
     ASSERT_TRUE(r2.ok) << r2.error;
     EXPECT_EQ(r2.applied, 2u);
 
-    const core::WalkSet& walks = (*engine)->walks();
-    live_values.reserve(walks.num_walks());
-    for (uint32_t w = 0; w < walks.num_walks(); ++w) {
-      live_values.push_back(walks.Value(w));
+    const auto view =
+        test::QueryView((*engine)->walks(), TargetOpinions(**engine));
+    live_values.reserve(view->num_walks());
+    for (uint32_t w = 0; w < view->num_walks(); ++w) {
+      live_values.push_back(view->Value(w));
     }
     live_fingerprint = (*engine)->sketch_meta().bundle_fingerprint;
     ASSERT_TRUE(std::filesystem::exists(prefix_ + kMutationLogSuffix));
@@ -219,9 +230,10 @@ TEST_F(DynCrashRecoveryTest, ReplayReconstructsThePreCrashInstance) {
   auto engine = api::Engine::Open(Options());
   ASSERT_TRUE(engine.ok()) << engine.status().ToString();
   const core::WalkSet& walks = (*engine)->walks();
-  ASSERT_EQ(walks.num_walks(), live_values.size());
-  for (uint32_t w = 0; w < walks.num_walks(); ++w) {
-    ASSERT_EQ(walks.Value(w), live_values[w]) << "walk " << w;
+  const auto view = test::QueryView(walks, TargetOpinions(**engine));
+  ASSERT_EQ(view->num_walks(), live_values.size());
+  for (uint32_t w = 0; w < view->num_walks(); ++w) {
+    ASSERT_EQ(view->Value(w), live_values[w]) << "walk " << w;
   }
   EXPECT_EQ((*engine)->sketch_meta().bundle_fingerprint, live_fingerprint);
   // And the replayed instance equals a from-scratch build of the mutated
@@ -237,7 +249,7 @@ TEST_F(DynCrashRecoveryTest, ReplayReconstructsThePreCrashInstance) {
   const auto rebuilt = core::BuildSketchSet(
       ev, (*engine)->sketch_meta().theta,
       (*engine)->sketch_meta().master_seed, build);
-  ExpectSameFrozenBytes(*rebuilt, walks);
+  ExpectSameFrozenBytes(*rebuilt, walks, TargetOpinions(**engine));
 }
 
 TEST_F(DynCrashRecoveryTest, OpinionOnlyCommitThenEdgeCommitStaysExact) {
@@ -279,11 +291,9 @@ TEST_F(DynCrashRecoveryTest, OpinionOnlyCommitThenEdgeCommitStaysExact) {
     }
 
     // And the hosted sketch must stay bit-identical to a from-scratch
-    // build over the mutated instance (ledger entry #10). After an
-    // opinion-only commit only the trajectory layer is invariant — the
-    // cached value layer is intentionally stale (queries rebuild it from
-    // target_opinions() per selection), so values are compared only when
-    // the commit ran a repair.
+    // build over the mutated instance (ledger entry #10), with equal values
+    // on query views reset from the current opinions after every commit,
+    // opinion-only ones included.
     const auto& dataset = (*engine)->dataset();
     const auto& meta = (*engine)->sketch_meta();
     opinion::FJModel model(dataset.influence);
@@ -305,9 +315,8 @@ TEST_F(DynCrashRecoveryTest, OpinionOnlyCommitThenEdgeCommitStaysExact) {
       ASSERT_EQ(fa.offsets[i], fb.offsets[i])
           << "commit " << step << " offset " << i;
     }
-    if (response.dirty_nodes > 0) {
-      ExpectSameFrozenBytes(*rebuilt, (*engine)->walks());
-    }
+    ExpectSameFrozenBytes(*rebuilt, (*engine)->walks(),
+                          TargetOpinions(**engine));
   }
 }
 
@@ -355,7 +364,8 @@ TEST_F(DynCrashRecoveryTest, BudgetedReplayRepairsOutOfCore) {
   ASSERT_TRUE(mem_entry.ok());
   EXPECT_NE((*mem_entry)->alias, nullptr);
 
-  ExpectSameFrozenBytes((*mem)->walks(), (*ooc)->walks());
+  ExpectSameFrozenBytes((*mem)->walks(), (*ooc)->walks(),
+                        TargetOpinions(**mem));
   const std::vector<api::Request> probes = {
       api::Request::TopK(5, voting::ScoreSpec::Cumulative()),
       api::Request::TopK(4, voting::ScoreSpec::Plurality()),
@@ -376,7 +386,8 @@ TEST_F(DynCrashRecoveryTest, BudgetedReplayRepairsOutOfCore) {
   ASSERT_TRUE(a.ok) << a.error;
   ASSERT_GT(a.walks_repaired, 0u);
   EXPECT_EQ(a.ToStableJson(), b.ToStableJson());
-  ExpectSameFrozenBytes((*mem)->walks(), (*ooc)->walks());
+  ExpectSameFrozenBytes((*mem)->walks(), (*ooc)->walks(),
+                        TargetOpinions(**mem));
 
   // The bundle directory holds the bundle members and the journal only.
   std::vector<std::string> expected;

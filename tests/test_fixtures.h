@@ -18,7 +18,10 @@
 #define VOTEOPT_TESTS_TEST_FIXTURES_H_
 
 #include <cassert>
+#include <memory>
+#include <vector>
 
+#include "core/walk_set.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -81,6 +84,17 @@ inline RandomInstance MakeRandomInstance(uint32_t num_nodes,
     }
   }
   return inst;
+}
+
+/// What a query reads of a hosted sketch: a ShareFrozen view of its frozen
+/// layer with values reset from `opinions`. The view pins nothing, so it
+/// must not outlive `sketch`.
+inline std::unique_ptr<core::WalkSet> QueryView(
+    const core::WalkSet& sketch, const std::vector<double>& opinions) {
+  auto view = sketch.ShareFrozen(
+      std::shared_ptr<const void>(std::shared_ptr<const void>(), &sketch));
+  view->ResetValues(opinions);
+  return view;
 }
 
 }  // namespace voteopt::test
