@@ -91,11 +91,25 @@ Engine::Engine(const EngineOptions& options)
       "voteopt_dyn_walks_repaired_total", {},
       "Sketch walks regenerated by incremental repair (the dirty-walk "
       "sets; clean walks splice their frozen bytes)");
+  const std::vector<double> commit_bounds = {
+      0.0001, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 60};
   m_dyn_repair_seconds_ = metrics_.GetHistogram(
       "voteopt_dyn_repair_seconds", {},
       "Incremental sketch-repair seconds per commit (patch + dirty-walk "
       "regeneration + reassembly; absent for opinion-only batches)",
-      {0.0001, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 10, 60});
+      commit_bounds);
+  const auto commit_stage = [&](const char* stage) {
+    return metrics_.GetHistogram(
+        "voteopt_dyn_commit_stage_seconds", {{"stage", stage}},
+        "Seconds per commit in each bookkeeping stage around the repair "
+        "(patch, fingerprint fold, journal write, registry swap + "
+        "worker-state eviction)",
+        commit_bounds);
+  };
+  m_dyn_patch_seconds_ = commit_stage("patch");
+  m_dyn_fingerprint_seconds_ = commit_stage("fingerprint");
+  m_dyn_journal_seconds_ = commit_stage("journal");
+  m_dyn_publish_seconds_ = commit_stage("publish");
 }
 
 Result<std::unique_ptr<Engine>> Engine::Open(const EngineOptions& options) {
@@ -671,9 +685,13 @@ Response Engine::HandleMutate(const Request& request) {
   if (!resolved.ok()) return Response::Error(request, resolved.status());
   const std::shared_ptr<const DatasetEntry>& base = *resolved;
 
+  // Seconds of each bookkeeping stage, observed once the commit is
+  // published, so a failed commit records no stage.
+  WallTimer stage_timer;
   auto patched = dyn::ApplyMutations(base->dataset.influence,
                                      base->dataset.state, request.mutations);
   if (!patched.ok()) return Response::Error(request, patched.status());
+  const double patch_seconds = stage_timer.Seconds();
 
   // The successor entry: same identity (name, base bundle, meta recipe),
   // patched instance, extended journal. Everything published stays
@@ -733,7 +751,13 @@ Response Engine::HandleMutate(const Request& request) {
     }
   }
   next->model = std::make_unique<opinion::FJModel>(next->dataset.influence);
-  next->meta.bundle_fingerprint = BundleFingerprint(next->dataset);
+  // The successor's fingerprint is its predecessor's folded with this
+  // batch's journal records — O(batch), and by construction what journal
+  // replay folds at the next Load.
+  stage_timer.Restart();
+  next->meta.bundle_fingerprint =
+      dyn::FoldMutations(next->meta.bundle_fingerprint, request.mutations);
+  const double fingerprint_seconds = stage_timer.Seconds();
   // build_evaluator stays null: the base's evaluator propagated the
   // pre-mutation graph and would seed worker LRUs with stale horizon rows.
 
@@ -741,17 +765,21 @@ Response Engine::HandleMutate(const Request& request) {
   // then publish. A crash between the two replays the full journal at the
   // next Load and — repair being bit-identical to rebuild — lands on
   // exactly the instance we are about to serve.
+  stage_timer.Restart();
   if (!next->bundle_prefix.empty()) {
     Status saved = dyn::SaveMutationLog(
         next->bundle_prefix + dyn::kMutationLogSuffix, next->base_fingerprint,
         next->mutation_log.mutations());
     if (!saved.ok()) return Response::Error(request, saved);
   }
+  const double journal_seconds = stage_timer.Seconds();
+  stage_timer.Restart();
   auto replaced = registry_.Replace(next);
   if (!replaced.ok()) return Response::Error(request, replaced.status());
   // Pooled worker state was built against the replaced generation; drop
   // idle states now, leased ones when they check back in.
   states_.Evict(next->name, (*replaced)->generation);
+  const double publish_seconds = stage_timer.Seconds();
 
   if (mx_ != nullptr) {
     for (const dyn::Mutation& m : request.mutations) {
@@ -762,6 +790,12 @@ Response Engine::HandleMutate(const Request& request) {
     }
   }
   if (m_dyn_commits_ != nullptr) m_dyn_commits_->Increment();
+  if (m_dyn_patch_seconds_ != nullptr) {
+    m_dyn_patch_seconds_->Observe(patch_seconds);
+    m_dyn_fingerprint_seconds_->Observe(fingerprint_seconds);
+    m_dyn_journal_seconds_->Observe(journal_seconds);
+    m_dyn_publish_seconds_->Observe(publish_seconds);
+  }
   if (m_dyn_walks_repaired_ != nullptr) {
     m_dyn_walks_repaired_->Increment(repair_stats.walks_repaired);
   }

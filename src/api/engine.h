@@ -161,8 +161,9 @@ class Engine {
   /// All four mutation verbs (edge_add / edge_del / set_opinion / mutate):
   /// patches the graph+opinions, repairs the sketch incrementally
   /// (dyn::SketchRepairer — bit-identical to a from-scratch rebuild by
-  /// determinism ledger entry #10), persists the mutation journal, and
-  /// commits via DatasetRegistry::Replace + StatePool::Evict.
+  /// determinism ledger entry #10), folds the batch into the fingerprint,
+  /// persists the mutation journal, and commits via
+  /// DatasetRegistry::Replace + StatePool::Evict.
   Response HandleMutate(const Request& request);
 
   /// One method's selection on the shared instance: the hosted sketch for
@@ -222,6 +223,11 @@ class Engine {
   obs::Counter* m_dyn_commits_ = nullptr;
   obs::Counter* m_dyn_walks_repaired_ = nullptr;
   obs::Histogram* m_dyn_repair_seconds_ = nullptr;
+  /// voteopt_dyn_commit_stage_seconds{stage=...}
+  obs::Histogram* m_dyn_patch_seconds_ = nullptr;
+  obs::Histogram* m_dyn_fingerprint_seconds_ = nullptr;
+  obs::Histogram* m_dyn_journal_seconds_ = nullptr;
+  obs::Histogram* m_dyn_publish_seconds_ = nullptr;
 };
 
 }  // namespace voteopt::api

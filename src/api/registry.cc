@@ -250,7 +250,10 @@ Result<std::shared_ptr<const DatasetEntry>> DatasetRegistry::Load(
       }
       entry->model =
           std::make_unique<opinion::FJModel>(entry->dataset.influence);
-      entry->meta.bundle_fingerprint = BundleFingerprint(entry->dataset);
+      // The whole journal folds once onto the base instance's fingerprint:
+      // the value the live commits reached by folding batch after batch.
+      entry->meta.bundle_fingerprint = dyn::FoldMutations(
+          entry->meta.bundle_fingerprint, journal->mutations);
       // The retained build evaluator propagated opinions over the BASE
       // instance; dropping it is correct (workers rebuild on demand),
       // keeping it would be a stale-answer bug.

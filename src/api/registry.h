@@ -42,10 +42,13 @@ namespace voteopt::api {
 /// rules with different weights must not share an evaluator).
 std::string EvaluatorSpecKey(const voting::ScoreSpec& spec);
 
-/// Fingerprint of a problem instance: every CSR array of the influence
-/// graph plus every campaign's opinions and stubbornness. Binds sketches
-/// to bundles (SketchMeta::bundle_fingerprint) and mutation journals to
-/// their base bundle (dyn/journal.h).
+/// Content fingerprint of a base bundle: every CSR array of the influence
+/// graph plus every campaign's opinions and stubbornness. Load computes it
+/// once and checks it there, the one place a fingerprint is checked: it
+/// binds persisted sketches (SketchMeta::bundle_fingerprint) and mutation
+/// journals (dyn/journal.h) to their bundle. Mutated instances are never
+/// rehashed; their fingerprint folds the journal onto the base's
+/// (dyn::FoldMutations).
 uint64_t BundleFingerprint(const datasets::Dataset& dataset);
 
 /// How to materialize one dataset: where the bundle lives and what to do
@@ -96,6 +99,11 @@ struct DatasetEntry {
   /// The frozen sketch layer. Never mutated after publication; queries run
   /// on per-worker WalkSet::ShareFrozen clones instead.
   std::shared_ptr<const core::WalkSet> sketch;
+  /// The sketch recipe. Its bundle_fingerprint is the base bundle's
+  /// content hash until the first commit; a mutated instance's is its
+  /// predecessor's folded with the commit's journal records (live commits
+  /// and replay fold the same records, so they agree). It names a lineage,
+  /// not bytes, and nothing checks it against the instance.
   store::SketchMeta meta;
   bool sketch_built = false;  // Load had to build (no persisted file)
 
@@ -111,9 +119,10 @@ struct DatasetEntry {
   /// Bundle prefix the entry was loaded from; "" for hosted (in-memory)
   /// entries — then the mutation journal is not persisted.
   std::string bundle_prefix;
-  /// Fingerprint of the on-disk base bundle (what a journal replays
-  /// against). Unlike meta.bundle_fingerprint — which tracks the CURRENT,
-  /// possibly mutated instance — this never changes across mutations.
+  /// BundleFingerprint of the on-disk base bundle, computed at Load: what
+  /// the journal's meta pins and a replay checks. Unlike
+  /// meta.bundle_fingerprint, which folds every commit, this never changes
+  /// across mutations.
   uint64_t base_fingerprint = 0;
   /// Every committed mutation since the base bundle, in commit order.
   dyn::MutationLog mutation_log;

@@ -7,6 +7,24 @@
 
 namespace voteopt::dyn {
 
+MutationRecord EncodeMutation(const Mutation& mutation) {
+  MutationRecord rec;
+  rec.kind = static_cast<uint32_t>(mutation.kind);
+  rec.u = mutation.u;
+  rec.v = mutation.v;
+  rec.value = mutation.value;
+  return rec;
+}
+
+uint64_t FoldMutations(uint64_t fingerprint,
+                       std::span<const Mutation> mutations) {
+  for (const Mutation& m : mutations) {
+    const MutationRecord rec = EncodeMutation(m);
+    fingerprint = store::Fnv1a64(&rec, sizeof(rec), fingerprint);
+  }
+  return fingerprint;
+}
+
 Status SaveMutationLog(const std::string& path, uint64_t base_fingerprint,
                        std::span<const Mutation> mutations) {
   MutationLogMeta meta;
@@ -15,14 +33,7 @@ Status SaveMutationLog(const std::string& path, uint64_t base_fingerprint,
 
   std::vector<MutationRecord> records;
   records.reserve(mutations.size());
-  for (const Mutation& m : mutations) {
-    MutationRecord rec;
-    rec.kind = static_cast<uint32_t>(m.kind);
-    rec.u = m.u;
-    rec.v = m.v;
-    rec.value = m.value;
-    records.push_back(rec);
-  }
+  for (const Mutation& m : mutations) records.push_back(EncodeMutation(m));
 
   std::vector<store::SectionRef> sections;
   sections.push_back(store::MakeSection<MutationLogMeta>(

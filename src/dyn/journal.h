@@ -14,6 +14,14 @@
 // against a different or modified bundle fails with FailedPrecondition
 // instead of silently producing a wrong graph. Truncated or corrupted
 // files yield a clean Status via the format layer's checksum validation.
+//
+// The records also name a mutated instance: FoldMutations continues FNV-1a
+// from the predecessor's fingerprint over each mutation's record bytes, so
+// a live commit folds its batch and a replay folds the whole journal once,
+// and the two agree by construction (FNV-1a streams). Such a fingerprint
+// names a lineage (base plus journal), not bytes: an edge_add followed by
+// its edge_del folds to a new value although the content is back at the
+// base. Only base bundles are content-hashed and checked.
 #ifndef VOTEOPT_DYN_JOURNAL_H_
 #define VOTEOPT_DYN_JOURNAL_H_
 
@@ -50,6 +58,16 @@ struct MutationLogMeta {
   uint64_t count = 0;
 };
 static_assert(sizeof(MutationLogMeta) == 16);
+
+/// The record of one mutation: the one layout the journal file stores and
+/// FoldMutations hashes.
+MutationRecord EncodeMutation(const Mutation& mutation);
+
+/// `fingerprint` folded with `mutations`: FNV-1a continued from it over
+/// each mutation's record, in order. O(batch); folding a‖b equals folding
+/// b onto the fold of a.
+uint64_t FoldMutations(uint64_t fingerprint,
+                       std::span<const Mutation> mutations);
 
 /// A loaded journal: the base it applies to plus the ordered mutations.
 struct MutationJournal {

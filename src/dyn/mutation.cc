@@ -24,6 +24,54 @@ void Renormalize(Row* row) {
   for (double& w : row->weights) w /= sum;
 }
 
+/// One CSR direction of the patched graph, appended row by row in node
+/// order: runs of rows the batch leaves alone copy from the base with
+/// shifted offsets, and changed rows append their entries.
+struct CsrRows {
+  CsrRows(std::span<const uint64_t> from_offsets,
+          std::span<const graph::NodeId> from_ends,
+          std::span<const double> from_weights, uint64_t num_edges)
+      : base_offsets(from_offsets),
+        base_ends(from_ends),
+        base_weights(from_weights) {
+    offsets.reserve(base_offsets.size());
+    offsets.push_back(0);
+    ends.reserve(num_edges);
+    weights.reserve(num_edges);
+  }
+
+  /// Copies the base's rows from the next unwritten one up to `last`
+  /// (exclusive) as one run.
+  void CopyRun(graph::NodeId last) {
+    const graph::NodeId first = static_cast<graph::NodeId>(offsets.size() - 1);
+    const uint64_t begin = base_offsets[first];
+    const uint64_t end = base_offsets[last];
+    const uint64_t shift = ends.size() - begin;  // modulo 2^64
+    for (graph::NodeId v = first; v < last; ++v) {
+      offsets.push_back(base_offsets[v + 1] + shift);
+    }
+    ends.insert(ends.end(), base_ends.begin() + begin,
+                base_ends.begin() + end);
+    weights.insert(weights.end(), base_weights.begin() + begin,
+                   base_weights.begin() + end);
+  }
+
+  void Append(graph::NodeId end, double weight) {
+    ends.push_back(end);
+    weights.push_back(weight);
+  }
+
+  /// Closes the row being appended.
+  void EndRow() { offsets.push_back(ends.size()); }
+
+  std::span<const uint64_t> base_offsets;
+  std::span<const graph::NodeId> base_ends;
+  std::span<const double> base_weights;
+  std::vector<uint64_t> offsets;
+  std::vector<graph::NodeId> ends;
+  std::vector<double> weights;
+};
+
 }  // namespace
 
 const char* MutationKindName(Mutation::Kind kind) {
@@ -134,89 +182,86 @@ Result<PatchResult> ApplyMutations(const graph::Graph& graph,
     }
   }
 
-  if (rows.empty()) {
-    // Opinion-only batch: the graph is structurally untouched; hand back a
-    // byte-identical copy so callers can still treat the result uniformly.
-    auto copy = graph::Graph::FromCsr(
-        n, {graph.OutOffsets().begin(), graph.OutOffsets().end()},
-        {graph.OutTargets().begin(), graph.OutTargets().end()},
-        {graph.OutWeightsRaw().begin(), graph.OutWeightsRaw().end()},
-        {graph.InOffsets().begin(), graph.InOffsets().end()},
-        {graph.InSources().begin(), graph.InSources().end()},
-        {graph.InWeightsRaw().begin(), graph.InWeightsRaw().end()});
-    if (!copy.ok()) return copy.status();
-    result.graph = std::move(copy).value();
-    return result;
-  }
-
-  // Assemble the patched in-CSR: untouched rows are copied verbatim (byte
-  // identity is what lets the repairer keep their alias rows and walks),
-  // mutated rows come from the patched copies above.
-  std::vector<uint64_t> in_offsets(n + 1, 0);
-  std::vector<graph::NodeId> in_sources;
-  std::vector<double> in_weights;
-  {
-    uint64_t total = 0;
-    auto it = rows.begin();
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (it != rows.end() && it->first == v) {
-        total += it->second.sources.size();
-        ++it;
-      } else {
-        total += graph.InDegree(v);
-      }
-    }
-    in_sources.reserve(total);
-    in_weights.reserve(total);
-  }
-  {
-    auto it = rows.begin();
-    for (graph::NodeId v = 0; v < n; ++v) {
-      if (it != rows.end() && it->first == v) {
-        in_sources.insert(in_sources.end(), it->second.sources.begin(),
-                          it->second.sources.end());
-        in_weights.insert(in_weights.end(), it->second.weights.begin(),
-                          it->second.weights.end());
-        ++it;
-      } else {
-        auto sources = graph.InNeighbors(v);
-        auto weights = graph.InWeights(v);
-        in_sources.insert(in_sources.end(), sources.begin(), sources.end());
-        in_weights.insert(in_weights.end(), weights.begin(), weights.end());
-      }
-      in_offsets[v + 1] = in_sources.size();
-    }
-  }
-
-  // Derive the out-CSR from the in-CSR with the same stable counting pass
-  // GraphBuilder::Build runs, so the whole graph stays builder-canonical.
-  const uint64_t m_total = in_sources.size();
-  std::vector<uint64_t> out_offsets(n + 1, 0);
-  for (graph::NodeId u : in_sources) ++out_offsets[u + 1];
-  for (uint32_t v = 0; v < n; ++v) out_offsets[v + 1] += out_offsets[v];
-  std::vector<graph::NodeId> out_targets(m_total);
-  std::vector<double> out_weights(m_total);
-  {
-    std::vector<uint64_t> cursor(out_offsets.begin(), out_offsets.end() - 1);
-    for (graph::NodeId v = 0; v < n; ++v) {
-      for (uint64_t e = in_offsets[v]; e < in_offsets[v + 1]; ++e) {
-        const graph::NodeId u = in_sources[e];
-        out_targets[cursor[u]] = v;
-        out_weights[cursor[u]] = in_weights[e];
-        ++cursor[u];
-      }
-    }
-  }
-
-  auto patched = graph::Graph::FromCsr(
-      n, std::move(out_offsets), std::move(out_targets),
-      std::move(out_weights), std::move(in_offsets), std::move(in_sources),
-      std::move(in_weights));
-  if (!patched.ok()) return patched.status();
-  result.graph = std::move(patched).value();
-
   result.dirty_nodes.reserve(rows.size());
   for (const auto& [v, row] : rows) result.dirty_nodes.push_back(v);
+  const std::vector<graph::NodeId>& dirty = result.dirty_nodes;
+
+  // The patched in-CSR: clean rows copy as runs, each mutated row is
+  // replaced by its patched copy (byte identity of clean rows is what lets
+  // the repairer keep their alias rows and walks).
+  uint64_t num_edges = graph.num_edges();
+  for (const auto& [v, row] : rows) {
+    num_edges = num_edges + row.sources.size() - graph.InDegree(v);
+  }
+  CsrRows in(graph.InOffsets(), graph.InSources(), graph.InWeightsRaw(),
+             num_edges);
+  for (const auto& [v, row] : rows) {
+    in.CopyRun(v);
+    in.ends.insert(in.ends.end(), row.sources.begin(), row.sources.end());
+    in.weights.insert(in.weights.end(), row.weights.begin(),
+                      row.weights.end());
+    in.EndRow();
+  }
+  in.CopyRun(n);
+
+  // The patched out-CSR, equal to what GraphBuilder's stable counting pass
+  // derives from the patched in-CSR: out-row u lists u's in-row entries in
+  // target order. Only sources with an entry in a mutated in-row, before
+  // or after the batch, change; each merges its surviving entries with
+  // its entries from the patched rows. `edits` holds the latter grouped by
+  // source, in target order within a source (rows are visited ascending).
+  struct OutEdit {
+    graph::NodeId source;
+    graph::NodeId target;
+    double weight;
+  };
+  std::vector<OutEdit> edits;
+  std::vector<graph::NodeId> sources;
+  for (const auto& [v, row] : rows) {
+    for (size_t i = 0; i < row.sources.size(); ++i) {
+      edits.push_back({row.sources[i], v, row.weights[i]});
+    }
+    const auto before = graph.InNeighbors(v);
+    sources.insert(sources.end(), before.begin(), before.end());
+    sources.insert(sources.end(), row.sources.begin(), row.sources.end());
+  }
+  std::stable_sort(edits.begin(), edits.end(),
+                   [](const OutEdit& a, const OutEdit& b) {
+                     return a.source < b.source;
+                   });
+  std::sort(sources.begin(), sources.end());
+  sources.erase(std::unique(sources.begin(), sources.end()), sources.end());
+
+  CsrRows out(graph.OutOffsets(), graph.OutTargets(), graph.OutWeightsRaw(),
+              num_edges);
+  auto edit = edits.begin();
+  for (const graph::NodeId u : sources) {
+    out.CopyRun(u);
+    const auto targets = graph.OutNeighbors(u);
+    const auto weights = graph.OutWeights(u);
+    for (size_t i = 0; i < targets.size(); ++i) {
+      for (; edit != edits.end() && edit->source == u &&
+             edit->target < targets[i];
+           ++edit) {
+        out.Append(edit->target, edit->weight);
+      }
+      // An entry into a mutated row comes back from the patched row.
+      if (!std::binary_search(dirty.begin(), dirty.end(), targets[i])) {
+        out.Append(targets[i], weights[i]);
+      }
+    }
+    for (; edit != edits.end() && edit->source == u; ++edit) {
+      out.Append(edit->target, edit->weight);
+    }
+    out.EndRow();
+  }
+  out.CopyRun(n);
+
+  auto patched = graph::Graph::FromCsr(
+      n, std::move(out.offsets), std::move(out.ends), std::move(out.weights),
+      std::move(in.offsets), std::move(in.ends), std::move(in.weights));
+  if (!patched.ok()) return patched.status();
+  result.graph = std::move(patched).value();
   return result;
 }
 

@@ -26,11 +26,16 @@
 //
 // ApplyMutations emits a builder-canonical graph: in-rows keep their
 // stored order (insertions land at the sorted-by-source position
-// GraphBuilder would have produced) and the out-CSR is re-derived from the
-// in-CSR by the same stable counting pass GraphBuilder runs. A node whose
-// in-row was not mutated keeps byte-identical sources and weights — which
-// is what lets the sketch repairer reuse that node's alias row and every
-// walk that avoids mutated nodes.
+// GraphBuilder would have produced). Both CSRs are patched by runs, not
+// re-derived: rows the batch leaves alone copy as runs with shifted
+// offsets, and only a source with an entry in a mutated in-row, before or
+// after the batch, rebuilds its out-row, merging its surviving entries
+// with its patched ones in target order. The bytes equal what
+// GraphBuilder's stable counting pass derives from the patched in-CSR, so
+// the work beyond the copy is proportional to the batch's rows. A node
+// whose in-row was not mutated keeps byte-identical sources and weights —
+// which is what lets the sketch repairer reuse that node's alias row and
+// every walk that avoids mutated nodes.
 #ifndef VOTEOPT_DYN_MUTATION_H_
 #define VOTEOPT_DYN_MUTATION_H_
 
@@ -107,7 +112,9 @@ struct PatchResult {
 };
 
 /// Applies `mutations` in order to (graph, state) and returns the patched
-/// instance plus its dirty-node set. Pure: inputs are untouched, and the
+/// instance plus its dirty-node set. `graph` must be builder-canonical, as
+/// every graph GraphBuilder or ApplyMutations emits is; its clean rows are
+/// copied, not re-sorted. Pure: inputs are untouched, and the
 /// result is a deterministic function of the arguments. Fails with a clean
 /// Status on the first invalid mutation (out-of-range ids, self loop,
 /// non-positive/non-finite weight, duplicate add, missing delete,

@@ -64,9 +64,9 @@ std::string TempSibling(const std::string& path) {
 
 }  // namespace
 
-uint64_t Fnv1a64(const void* data, size_t size) {
+uint64_t Fnv1a64(const void* data, size_t size, uint64_t basis) {
   const auto* bytes = static_cast<const uint8_t*>(data);
-  uint64_t hash = 0xCBF29CE484222325ULL;
+  uint64_t hash = basis;
   for (size_t i = 0; i < size; ++i) {
     hash ^= bytes[i];
     hash *= 0x100000001B3ULL;

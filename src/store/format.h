@@ -43,8 +43,14 @@ enum class FileKind : uint32_t {
   kMutationLog = 5,
 };
 
-/// FNV-1a 64-bit over a byte range (the format's checksum primitive).
-uint64_t Fnv1a64(const void* data, size_t size);
+/// FNV-1a's 64-bit offset basis: the hash of the empty byte range.
+inline constexpr uint64_t kFnv1a64Basis = 0xCBF29CE484222325ULL;
+
+/// FNV-1a 64-bit over a byte range (the format's checksum primitive),
+/// continued from `basis`. Hashing is streaming: Fnv1a64 over a‖b equals
+/// Fnv1a64 over b with basis Fnv1a64(a).
+uint64_t Fnv1a64(const void* data, size_t size,
+                 uint64_t basis = kFnv1a64Basis);
 
 /// One section to be written: a name (<= 15 chars) plus a borrowed byte
 /// range that must stay alive until WriteSectionFile returns.

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "core/estimated_greedy.h"
 #include "core/sketch.h"
@@ -31,7 +32,8 @@ class ApiEngineTest : public ::testing::Test {
   }
   void TearDown() override {
     for (const char* suffix : {".influence.edges", ".counts.edges",
-                               ".campaigns.tsv", ".meta", ".sketch"}) {
+                               ".campaigns.tsv", ".meta", ".sketch",
+                               ".dynlog"}) {
       std::remove((prefix_ + suffix).c_str());
     }
   }
@@ -372,6 +374,24 @@ TEST_F(ApiEngineTest, SlowQueryLogFiresAtThresholdWithStages) {
   ::testing::internal::CaptureStderr();
   ASSERT_TRUE((*quiet)->Execute(request).ok);
   EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+}
+
+TEST_F(ApiEngineTest, EdgeCommitRecordsEveryCommitStage) {
+  auto engine = Engine::Open(Options());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  const Response commit = (*engine)->Execute(Request::EdgeAdd(0, 33, 2.0));
+  ASSERT_TRUE(commit.ok) << commit.error;
+  ASSERT_GT(commit.walks_repaired, 0u);
+
+  const auto stats = (*engine)->metrics().Snapshot();
+  for (const char* stage : {"patch", "fingerprint", "journal", "publish"}) {
+    const std::string key =
+        std::string("voteopt_dyn_commit_stage_seconds_count{stage=\"") +
+        stage + "\"}";
+    const auto it = stats.find(key);
+    ASSERT_NE(it, stats.end()) << key;
+    EXPECT_EQ(it->second, 1.0) << key;
+  }
 }
 
 TEST_F(ApiEngineTest, HostsInMemoryDatasetsWithTargetOverride) {

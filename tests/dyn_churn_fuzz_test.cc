@@ -223,10 +223,13 @@ TEST_F(DynChurnFuzzTest, InterleavedChurnMatchesSerialReplayByteForByte) {
   EXPECT_GT(mutations_sent, 8);
   EXPECT_GT(queries_sent, 15);
 
-  // Both engines walked the same mutation schedule: the instances are the
-  // same bytes (fingerprints recomputed over graph + opinions each commit).
+  // Both engines walked the same mutation schedule: the same lineage (the
+  // base fingerprint folded with every committed batch) and the same
+  // graph and opinion bytes.
   EXPECT_EQ(engine_->sketch_meta().bundle_fingerprint,
             ref_engine_->sketch_meta().bundle_fingerprint);
+  EXPECT_EQ(api::BundleFingerprint(engine_->dataset()),
+            api::BundleFingerprint(ref_engine_->dataset()));
 }
 
 TEST_F(DynChurnFuzzTest, QueriesRacingCommitsStayCleanAndConverge) {
@@ -292,6 +295,8 @@ TEST_F(DynChurnFuzzTest, QueriesRacingCommitsStayCleanAndConverge) {
   EXPECT_EQ(parsed->ToStableJson(), expected);
   EXPECT_EQ(engine_->sketch_meta().bundle_fingerprint,
             ref_engine_->sketch_meta().bundle_fingerprint);
+  EXPECT_EQ(api::BundleFingerprint(engine_->dataset()),
+            api::BundleFingerprint(ref_engine_->dataset()));
 }
 
 }  // namespace

@@ -4,12 +4,19 @@
 // additions, deletions, mixed batches, opinion-only batches), every thread
 // count, both the in-memory and the out-of-core regeneration paths, and
 // with seed selections agreeing under all five voting rules. Master seed 0
-// is an ordinary seed: its sketches repair like any other.
+// is an ordinary seed: its sketches repair like any other. Underneath, the
+// patched graph itself is builder-canonical: ApplyMutations' run-by-run
+// patch equals a naive in-row rebuild and GraphBuilder's counting pass,
+// byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <memory>
+#include <set>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,9 +27,11 @@
 #include "dyn/mutation.h"
 #include "dyn/repair.h"
 #include "graph/alias_table.h"
+#include "graph/builder.h"
 #include "opinion/fj_model.h"
 #include "store/sketch_store.h"
 #include "test_fixtures.h"
+#include "util/rng.h"
 #include "voting/evaluator.h"
 
 namespace voteopt::dyn {
@@ -380,6 +389,224 @@ TEST(DynEquivalenceTest, EngineHostedWithSeedZeroAcceptsEdgeAdd) {
   ASSERT_TRUE(response.ok) << response.error;
   EXPECT_EQ(response.applied, 1u);
   EXPECT_EQ(response.walks_total, kTheta);
+}
+
+// ---- the patched graph ---------------------------------------------------
+
+/// One CSR direction as plain arrays.
+struct Csr {
+  std::vector<uint64_t> offsets;
+  std::vector<graph::NodeId> ends;
+  std::vector<double> weights;
+};
+
+/// The in-CSR after `batch`, rebuilt naively: every in-row materialized,
+/// each edge edit applied to its row in order (sources kept sorted, the
+/// row renormalized after every edit), then the rows concatenated.
+Csr NaiveInCsr(const graph::Graph& graph, std::span<const Mutation> batch) {
+  const uint32_t n = graph.num_nodes();
+  std::vector<std::vector<graph::NodeId>> sources(n);
+  std::vector<std::vector<double>> weights(n);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    const auto in = graph.InNeighbors(v);
+    const auto w = graph.InWeights(v);
+    sources[v].assign(in.begin(), in.end());
+    weights[v].assign(w.begin(), w.end());
+  }
+  for (const Mutation& m : batch) {
+    if (m.kind == Mutation::Kind::kSetOpinion) continue;
+    std::vector<graph::NodeId>& row = sources[m.v];
+    std::vector<double>& row_weights = weights[m.v];
+    const auto at = std::lower_bound(row.begin(), row.end(), m.u) -
+                    row.begin();
+    if (m.kind == Mutation::Kind::kEdgeAdd) {
+      row.insert(row.begin() + at, m.u);
+      row_weights.insert(row_weights.begin() + at, m.value);
+    } else {
+      row.erase(row.begin() + at);
+      row_weights.erase(row_weights.begin() + at);
+    }
+    double sum = 0.0;
+    for (const double w : row_weights) sum += w;
+    if (sum > 0.0) {
+      for (double& w : row_weights) w /= sum;
+    }
+  }
+  Csr in;
+  in.offsets.push_back(0);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    in.ends.insert(in.ends.end(), sources[v].begin(), sources[v].end());
+    in.weights.insert(in.weights.end(), weights[v].begin(), weights[v].end());
+    in.offsets.push_back(in.ends.size());
+  }
+  return in;
+}
+
+/// GraphBuilder's stable counting pass: the out-CSR derived from an
+/// in-CSR, which ApplyMutations once ran over the whole patched graph.
+Csr CountingPassOutCsr(uint32_t n, const Csr& in) {
+  Csr out;
+  out.offsets.assign(n + 1, 0);
+  for (const graph::NodeId u : in.ends) ++out.offsets[u + 1];
+  for (uint32_t u = 0; u < n; ++u) out.offsets[u + 1] += out.offsets[u];
+  out.ends.resize(in.ends.size());
+  out.weights.resize(in.ends.size());
+  std::vector<uint64_t> cursor(out.offsets.begin(), out.offsets.end() - 1);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    for (uint64_t e = in.offsets[v]; e < in.offsets[v + 1]; ++e) {
+      const graph::NodeId u = in.ends[e];
+      out.ends[cursor[u]] = v;
+      out.weights[cursor[u]] = in.weights[e];
+      ++cursor[u];
+    }
+  }
+  return out;
+}
+
+template <typename T>
+void ExpectSameBytes(std::span<const T> actual, std::span<const T> expected,
+                     const std::string& what) {
+  ASSERT_EQ(actual.size(), expected.size()) << what;
+  for (size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_EQ(std::memcmp(&actual[i], &expected[i], sizeof(T)), 0)
+        << what << " element " << i;
+  }
+}
+
+/// All six CSR arrays of `actual` equal `expected`'s, byte for byte.
+void ExpectSameGraphBytes(const graph::Graph& actual,
+                          const graph::Graph& expected,
+                          const std::string& label) {
+  ExpectSameBytes(actual.OutOffsets(), expected.OutOffsets(),
+                  label + " out-offsets");
+  ExpectSameBytes(actual.OutTargets(), expected.OutTargets(),
+                  label + " out-targets");
+  ExpectSameBytes(actual.OutWeightsRaw(), expected.OutWeightsRaw(),
+                  label + " out-weights");
+  ExpectSameBytes(actual.InOffsets(), expected.InOffsets(),
+                  label + " in-offsets");
+  ExpectSameBytes(actual.InSources(), expected.InSources(),
+                  label + " in-sources");
+  ExpectSameBytes(actual.InWeightsRaw(), expected.InWeightsRaw(),
+                  label + " in-weights");
+}
+
+/// Patches (graph, state) with `batch` and checks the patched graph byte
+/// for byte against the oracle: NaiveInCsr, and the counting pass over it.
+void ExpectBuilderCanonicalPatch(const graph::Graph& graph,
+                                 const opinion::MultiCampaignState& state,
+                                 const std::vector<Mutation>& batch,
+                                 const std::string& label) {
+  auto patched = ApplyMutations(graph, state, batch);
+  ASSERT_TRUE(patched.ok()) << label << ": " << patched.status().ToString();
+  Csr in = NaiveInCsr(graph, batch);
+  Csr out = CountingPassOutCsr(graph.num_nodes(), in);
+  auto oracle = graph::Graph::FromCsr(
+      graph.num_nodes(), std::move(out.offsets), std::move(out.ends),
+      std::move(out.weights), std::move(in.offsets), std::move(in.ends),
+      std::move(in.weights));
+  ASSERT_TRUE(oracle.ok()) << label << ": " << oracle.status().ToString();
+  ExpectSameGraphBytes(patched->graph, *oracle, label);
+}
+
+TEST(DynEquivalenceTest, PatchedGraphIsBuilderCanonical) {
+  // Hand cases on six nodes. Out-rows: 0 {5}, 1 {0, 2}, 2 {0, 4}, 3 {},
+  // 4 {}, 5 {1}; in-rows: 0 {1, 2}, 1 {5}, 2 {1}, 3 {}, 4 {2}, 5 {0}.
+  graph::GraphBuilder builder(6);
+  builder.AddEdge(1, 0, 1.0);
+  builder.AddEdge(2, 0, 3.0);
+  builder.AddEdge(0, 5, 1.0);
+  builder.AddEdge(2, 4, 1.0);
+  builder.AddEdge(1, 2, 1.0);
+  builder.AddEdge(5, 1, 1.0);
+  auto built = builder.Build({.normalize_incoming = true});
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  const graph::Graph small = std::move(built).value();
+  opinion::MultiCampaignState small_state;
+  small_state.campaigns.resize(2);
+  for (auto& campaign : small_state.campaigns) {
+    campaign.initial_opinions.assign(6, 0.5);
+    campaign.stubbornness.assign(6, 0.5);
+  }
+  const std::vector<std::pair<std::string, std::vector<Mutation>>> cases = {
+      {"add into an empty in-row", {Mutation::EdgeAdd(1, 3, 1.0)}},
+      {"delete a row's last in-edge", {Mutation::EdgeDel(2, 4)}},
+      {"several edits to one row",
+       {Mutation::EdgeAdd(3, 0, 1.0), Mutation::EdgeDel(1, 0),
+        Mutation::EdgeAdd(4, 0, 2.0), Mutation::EdgeDel(3, 0)}},
+      {"edits at nodes 0 and n-1",
+       {Mutation::EdgeAdd(5, 0, 1.5), Mutation::EdgeDel(0, 5),
+        Mutation::EdgeAdd(4, 5, 2.0)}},
+      {"a source's out-row empties", {Mutation::EdgeDel(0, 5)}},
+      {"a source's out-row gets its first entry",
+       {Mutation::EdgeAdd(3, 1, 1.0)}},
+      {"an entry lands between kept entries", {Mutation::EdgeAdd(2, 3, 0.5)}},
+      {"an opinion-only batch", {Mutation::SetOpinion(1, 5, 0.125)}},
+  };
+  for (const auto& [label, batch] : cases) {
+    ASSERT_NO_FATAL_FAILURE(
+        ExpectBuilderCanonicalPatch(small, small_state, batch, label));
+  }
+
+  // An opinion-only batch hands back the input's graph bytes.
+  auto opinion_only =
+      ApplyMutations(small, small_state,
+                     std::vector<Mutation>{Mutation::SetOpinion(0, 2, 1.0)});
+  ASSERT_TRUE(opinion_only.ok()) << opinion_only.status().ToString();
+  ExpectSameGraphBytes(opinion_only->graph, small, "opinion-only batch");
+
+  // Seeded random rounds: batches of 1-12 mixed edits, drawn against the
+  // edge set as the batch evolves it, and biased toward nodes 0, n-1 and
+  // one hot node so rows take several edits and the ends of the node
+  // range get patched. Every tenth batch sets opinions only.
+  Rng rng(4049);
+  for (int round = 0; round < 200; ++round) {
+    const uint32_t n = 2 + static_cast<uint32_t>(rng.UniformInt(30));
+    const uint64_t m = rng.UniformInt(3 * uint64_t{n} + 1);
+    const RandomInstance inst =
+        MakeRandomInstance(n, m, 2, 600 + static_cast<uint64_t>(round));
+    std::set<std::pair<graph::NodeId, graph::NodeId>> present;  // (u, v)
+    for (graph::NodeId v = 0; v < n; ++v) {
+      for (const graph::NodeId u : inst.graph.InNeighbors(v)) {
+        present.insert({u, v});
+      }
+    }
+    const auto hot = static_cast<graph::NodeId>(rng.UniformInt(n));
+    const auto pick = [&]() -> graph::NodeId {
+      switch (rng.UniformInt(4)) {
+        case 0:
+          return 0;
+        case 1:
+          return n - 1;
+        case 2:
+          return hot;
+        default:
+          return static_cast<graph::NodeId>(rng.UniformInt(n));
+      }
+    };
+    const bool opinions_only = round % 10 == 0;
+    const uint64_t size = 1 + rng.UniformInt(12);
+    std::vector<Mutation> batch;
+    while (batch.size() < size) {
+      const uint64_t dice = opinions_only ? 9 : rng.UniformInt(10);
+      if (dice < 5) {
+        const graph::NodeId u = pick(), v = pick();
+        if (u == v || !present.insert({u, v}).second) continue;
+        batch.push_back(Mutation::EdgeAdd(u, v, rng.Uniform(0.25, 3.0)));
+      } else if (dice < 8 && !present.empty()) {
+        auto it = present.begin();
+        std::advance(it, rng.UniformInt(present.size()));
+        batch.push_back(Mutation::EdgeDel(it->first, it->second));
+        present.erase(it);
+      } else {
+        batch.push_back(Mutation::SetOpinion(
+            static_cast<uint32_t>(rng.UniformInt(2)),
+            static_cast<graph::NodeId>(rng.UniformInt(n)), rng.Uniform()));
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(ExpectBuilderCanonicalPatch(
+        inst.graph, inst.state, batch, "round " + std::to_string(round)));
+  }
 }
 
 TEST(DynEquivalenceTest, MutationValidationFailsClean) {

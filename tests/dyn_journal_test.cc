@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -199,6 +200,7 @@ TEST_F(DynCrashRecoveryTest, ReplayReconstructsThePreCrashInstance) {
   // (drop the engine without unloading).
   std::vector<double> live_values;
   uint64_t live_fingerprint = 0;
+  uint64_t live_content = 0;
   {
     auto engine = api::Engine::Open(Options());
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -222,6 +224,7 @@ TEST_F(DynCrashRecoveryTest, ReplayReconstructsThePreCrashInstance) {
       live_values.push_back(view->Value(w));
     }
     live_fingerprint = (*engine)->sketch_meta().bundle_fingerprint;
+    live_content = api::BundleFingerprint((*engine)->dataset());
     ASSERT_TRUE(std::filesystem::exists(prefix_ + kMutationLogSuffix));
   }
 
@@ -236,6 +239,7 @@ TEST_F(DynCrashRecoveryTest, ReplayReconstructsThePreCrashInstance) {
     ASSERT_EQ(view->Value(w), live_values[w]) << "walk " << w;
   }
   EXPECT_EQ((*engine)->sketch_meta().bundle_fingerprint, live_fingerprint);
+  EXPECT_EQ(api::BundleFingerprint((*engine)->dataset()), live_content);
   // And the replayed instance equals a from-scratch build of the mutated
   // graph — ledger entry #10 end to end.
   const auto& dataset = (*engine)->dataset();
@@ -250,6 +254,46 @@ TEST_F(DynCrashRecoveryTest, ReplayReconstructsThePreCrashInstance) {
       ev, (*engine)->sketch_meta().theta,
       (*engine)->sketch_meta().master_seed, build);
   ExpectSameFrozenBytes(*rebuilt, walks, TargetOpinions(**engine));
+}
+
+TEST_F(DynCrashRecoveryTest, FingerprintFoldsTheJournal) {
+  // A mutated instance's fingerprint names its lineage: the base bundle's
+  // content hash folded with every journal record, not a hash of its
+  // bytes. Node v has at most one in-edge, so adding u -> v and deleting
+  // it again restores every byte (a one-entry row renormalizes to 1.0).
+  auto base_bundle = datasets::LoadDatasetBundle(prefix_);
+  ASSERT_TRUE(base_bundle.ok()) << base_bundle.status().ToString();
+  const uint64_t base = api::BundleFingerprint(*base_bundle);
+  const graph::Graph& g = base_bundle->influence;
+  graph::NodeId v = 0;
+  while (g.InDegree(v) > 1) ++v;
+  const auto in = g.InNeighbors(v);
+  graph::NodeId u = 0;
+  while (u == v || std::find(in.begin(), in.end(), u) != in.end()) ++u;
+
+  auto engine = api::Engine::Open(Options());
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  ASSERT_EQ((*engine)->sketch_meta().bundle_fingerprint, base);
+  ASSERT_TRUE((*engine)->Execute(api::Request::EdgeAdd(u, v, 2.0)).ok);
+  ASSERT_TRUE((*engine)->Execute(api::Request::EdgeDel(u, v)).ok);
+  ASSERT_EQ(api::BundleFingerprint((*engine)->dataset()), base)
+      << "the add/del pair must restore the base bytes";
+  EXPECT_NE((*engine)->sketch_meta().bundle_fingerprint, base);
+
+  const api::Response third = (*engine)->Execute(api::Request::Mutate(
+      {Mutation::SetOpinion(0, 12, 0.875), Mutation::EdgeAdd(u, v, 0.5)}));
+  ASSERT_TRUE(third.ok) << third.error;
+
+  auto journal = LoadMutationLog(prefix_ + kMutationLogSuffix);
+  ASSERT_TRUE(journal.ok()) << journal.status().ToString();
+  ASSERT_EQ(journal->base_fingerprint, base);
+  ASSERT_EQ(journal->mutations.size(), 4u);
+  const std::span<const Mutation> records(journal->mutations);
+  const uint64_t folded = FoldMutations(base, records);
+  EXPECT_EQ((*engine)->sketch_meta().bundle_fingerprint, folded);
+  EXPECT_EQ(FoldMutations(FoldMutations(base, records.first(1)),
+                          records.subspan(1)),
+            folded);
 }
 
 TEST_F(DynCrashRecoveryTest, OpinionOnlyCommitThenEdgeCommitStaysExact) {

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string>
 
 namespace voteopt::store {
 namespace {
@@ -62,6 +63,14 @@ TEST_F(StoreFormatTest, RoundTripsSections) {
     ASSERT_TRUE(beta.ok());
     EXPECT_EQ(std::vector<double>(beta->begin(), beta->end()), payload_b_);
   }
+}
+
+TEST(Fnv1a64Test, ContinuesFromABasis) {
+  const std::string a = "voteopt", b = "fingerprint";
+  const std::string ab = a + b;
+  EXPECT_EQ(Fnv1a64(ab.data(), ab.size()),
+            Fnv1a64(b.data(), b.size(), Fnv1a64(a.data(), a.size())));
+  EXPECT_EQ(Fnv1a64(nullptr, 0), kFnv1a64Basis);
 }
 
 TEST_F(StoreFormatTest, WritesAreDeterministic) {
