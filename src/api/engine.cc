@@ -1,6 +1,7 @@
 #include "api/engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <future>
 #include <utility>
 
@@ -484,7 +485,7 @@ Response Engine::HandleEvaluate(const Request& request,
       return Response::Error(request,
                              Status::OutOfRange("override user out of range"));
     }
-    if (opinion < 0.0 || opinion > 1.0) {
+    if (!std::isfinite(opinion) || opinion < 0.0 || opinion > 1.0) {
       return Response::Error(
           request,
           Status::InvalidArgument("override opinion must be in [0, 1]"));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace voteopt::voting {
 
@@ -36,14 +37,15 @@ ScoreEvaluator::ScoreEvaluator(
     assert(models_[x]->graph().num_nodes() == n);
     horizon_opinions_[x] = models_[x]->Propagate(state.campaigns[x], horizon_);
   }
-  sorted_competitors_.assign(n, {});
+  const size_t width = r - 1;
+  sorted_competitors_.resize(n * width);
   for (uint32_t v = 0; v < n; ++v) {
-    auto& row = sorted_competitors_[v];
-    row.reserve(r - 1);
+    double* row = sorted_competitors_.data() + v * width;
+    size_t i = 0;
     for (CandidateId x = 0; x < r; ++x) {
-      if (x != target_) row.push_back(horizon_opinions_[x][v]);
+      if (x != target_) row[i++] = horizon_opinions_[x][v];
     }
-    std::sort(row.begin(), row.end());
+    std::sort(row, row + width);
   }
 }
 
@@ -59,7 +61,7 @@ double ScoreEvaluator::EvaluateSeeds(
 }
 
 uint32_t ScoreEvaluator::UserRank(uint32_t v, double x) const {
-  const auto& row = sorted_competitors_[v];
+  const std::span<const double> row = SortedCompetitors(v);
   // #competitors with value >= x.
   const auto it = std::lower_bound(row.begin(), row.end(), x);
   return 1 + static_cast<uint32_t>(row.end() - it);
@@ -70,7 +72,7 @@ double ScoreEvaluator::UserRankWeight(uint32_t v, double x) const {
 }
 
 double ScoreEvaluator::UserGamma(uint32_t v, double value) const {
-  const auto& row = sorted_competitors_[v];
+  const std::span<const double> row = SortedCompetitors(v);
   assert(!row.empty());
   const auto it = std::lower_bound(row.begin(), row.end(), value);
   double best = std::numeric_limits<double>::infinity();

@@ -3,14 +3,15 @@
 // In Problem 1 (FJ-Vote) only the target candidate receives seeds, and
 // opinions for different candidates diffuse independently (paper § II-C,
 // Remark 2). The evaluator therefore propagates every competitor's opinions
-// to the horizon once, caches them (plus per-user sorted copies for O(log r)
-// rank queries), and afterwards evaluates any seed set by propagating only
-// the target's row. This is what makes the greedy algorithms O(k t m n)
-// instead of O(k t m n r).
+// to the horizon once, caches them (plus each user's sorted competitor
+// opinions, in one flat array, for O(log r) rank queries), and afterwards
+// evaluates any seed set by propagating only the target's row. This is what
+// makes the greedy algorithms O(k t m n) instead of O(k t m n r).
 #ifndef VOTEOPT_VOTING_EVALUATOR_H_
 #define VOTEOPT_VOTING_EVALUATOR_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "opinion/fj_model.h"
@@ -85,6 +86,13 @@ class ScoreEvaluator {
   const ScoreSpec& spec() const { return spec_; }
 
  private:
+  /// User v's ascending competitor opinions at the horizon (r-1 values),
+  /// for rank / gamma binary searches.
+  std::span<const double> SortedCompetitors(uint32_t v) const {
+    const size_t width = num_candidates() - 1;
+    return {sorted_competitors_.data() + v * width, width};
+  }
+
   std::vector<const opinion::FJModel*> models_;  // one per candidate
   const opinion::MultiCampaignState* state_;
   CandidateId target_;
@@ -93,9 +101,8 @@ class ScoreEvaluator {
 
   /// horizon_opinions_[x][v] = b_xv(t) with no seeds, for every candidate.
   std::vector<std::vector<double>> horizon_opinions_;
-  /// sorted_competitors_[v] = ascending competitor opinions at the horizon
-  /// (r-1 values per user), for rank / gamma binary searches.
-  std::vector<std::vector<double>> sorted_competitors_;
+  /// Every user's sorted competitor row, back to back: n * (r-1) values.
+  std::vector<double> sorted_competitors_;
 };
 
 }  // namespace voteopt::voting

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <limits>
 #include <string>
 
 #include "core/estimated_greedy.h"
@@ -298,6 +299,20 @@ TEST_F(ApiEngineTest, UnsupportedVersionFailsCleanly) {
   EXPECT_NE(response.error.find("unsupported protocol version"),
             std::string::npos);
   request.v = kProtocolVersion;
+  EXPECT_TRUE((*engine)->Execute(request).ok);
+}
+
+TEST_F(ApiEngineTest, EvaluateRejectsANanOverride) {
+  // The wire codec cannot spell NaN, but a typed caller can; NaN passes
+  // both halves of a plain [0, 1] range test.
+  auto engine = Engine::Open(Options());
+  ASSERT_TRUE(engine.ok());
+  Request request = Request::Evaluate({1, 2}, voting::ScoreSpec::Cumulative());
+  request.overrides = {{3, std::numeric_limits<double>::quiet_NaN()}};
+  const Response response = (*engine)->Execute(request);
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.error.rfind("InvalidArgument", 0), 0u) << response.error;
+  request.overrides = {{3, 0.5}};
   EXPECT_TRUE((*engine)->Execute(request).ok);
 }
 

@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <future>
+#include <latch>
+#include <string>
+
+#include "graph/builder.h"
 #include "opinion/convergence.h"
 #include "test_fixtures.h"
+#include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace voteopt::opinion {
 namespace {
@@ -155,6 +164,239 @@ TEST(FJModelTest, SeedsAreMonotone) {
   const auto more = model.PropagateWithSeeds(campaign, {3, 7}, 10);
   for (size_t v = 0; v < base.size(); ++v) {
     EXPECT_GE(more[v], base[v] - 1e-12);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The step schedule returns the full sweep's bytes.
+// ---------------------------------------------------------------------------
+
+// The oracle: one full FJ sweep over every one of the n rows, the loop the
+// step schedule must reproduce byte for byte.
+void FullSweepStep(const graph::Graph& graph,
+                   const std::vector<double>& current,
+                   const std::vector<double>& initial,
+                   const std::vector<double>& stubbornness,
+                   std::vector<double>* out) {
+  const uint32_t n = graph.num_nodes();
+  out->resize(n);
+  for (graph::NodeId v = 0; v < n; ++v) {
+    const auto sources = graph.InNeighbors(v);
+    if (sources.empty()) {
+      // No social signal: the row holds its previous opinion.
+      (*out)[v] = current[v];
+      continue;
+    }
+    const auto weights = graph.InWeights(v);
+    double aggregated = 0.0;
+    for (size_t i = 0; i < sources.size(); ++i) {
+      aggregated += weights[i] * current[sources[i]];
+    }
+    const double d = stubbornness[v];
+    (*out)[v] = (1.0 - d) * aggregated + d * initial[v];
+  }
+}
+
+// The oracle's propagation: ApplySeeds, then `horizon` full sweeps.
+// result[s] is what Propagate(seeded campaign, s) returned.
+std::vector<std::vector<double>> FullSweepTrajectory(
+    const graph::Graph& graph, const Campaign& campaign,
+    const std::vector<graph::NodeId>& seeds, uint32_t horizon) {
+  const Campaign seeded = ApplySeeds(campaign, seeds);
+  std::vector<std::vector<double>> trajectory = {seeded.initial_opinions};
+  std::vector<double> next;
+  for (uint32_t step = 0; step < horizon; ++step) {
+    FullSweepStep(graph, trajectory.back(), seeded.initial_opinions,
+                  seeded.stubbornness, &next);
+    trajectory.push_back(next);
+  }
+  return trajectory;
+}
+
+bool SameBytes(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+// Compares every public propagation path of a fresh model with the oracle,
+// byte for byte, at every horizon 0..max_horizon: PropagateWithSeeds for
+// each seed set, Propagate, every Trajectory snapshot, and Step from every
+// oracle snapshot (seeded and unseeded).
+void ExpectScheduleMatchesFullSweep(
+    const graph::Graph& graph, const Campaign& campaign,
+    const std::vector<std::vector<graph::NodeId>>& seed_sets,
+    uint32_t max_horizon, const std::string& label) {
+  const FJModel model(graph);
+  for (const auto& seeds : seed_sets) {
+    const auto oracle =
+        FullSweepTrajectory(graph, campaign, seeds, max_horizon);
+    for (uint32_t t = 0; t <= max_horizon; ++t) {
+      ASSERT_TRUE(
+          SameBytes(model.PropagateWithSeeds(campaign, seeds, t), oracle[t]))
+          << label << ": PropagateWithSeeds, " << seeds.size()
+          << " seeds, t=" << t;
+    }
+    const Campaign seeded = ApplySeeds(campaign, seeds);
+    std::vector<double> out;
+    for (uint32_t t = 0; t < max_horizon; ++t) {
+      model.Step(oracle[t], seeded.initial_opinions, seeded.stubbornness,
+                 &out);
+      ASSERT_TRUE(SameBytes(out, oracle[t + 1]))
+          << label << ": seeded Step from t=" << t;
+    }
+  }
+  const auto oracle = FullSweepTrajectory(graph, campaign, {}, max_horizon);
+  for (uint32_t t = 0; t <= max_horizon; ++t) {
+    ASSERT_TRUE(SameBytes(model.Propagate(campaign, t), oracle[t]))
+        << label << ": Propagate, t=" << t;
+  }
+  const auto trajectory = model.Trajectory(campaign, max_horizon);
+  ASSERT_EQ(trajectory.size(), oracle.size()) << label;
+  for (uint32_t t = 0; t <= max_horizon; ++t) {
+    ASSERT_TRUE(SameBytes(trajectory[t], oracle[t]))
+        << label << ": Trajectory snapshot " << t;
+  }
+  std::vector<double> out;
+  for (uint32_t t = 0; t < max_horizon; ++t) {
+    model.Step(oracle[t], campaign.initial_opinions, campaign.stubbornness,
+               &out);
+    ASSERT_TRUE(SameBytes(out, oracle[t + 1]))
+        << label << ": Step from t=" << t;
+  }
+}
+
+// b0 uniform in [0, 1). With `extremes`, d cycles through 0, 1 and values
+// in between, so the case holds rows with d = 0 and rows with d = 1;
+// without, every d lies in [0.1, 0.9], so no row is pinned to its b0 or
+// forgets it.
+Campaign VariedCampaign(uint32_t n, uint64_t seed, bool extremes = true) {
+  Rng rng(seed);
+  Campaign campaign;
+  campaign.initial_opinions.resize(n);
+  campaign.stubbornness.resize(n);
+  for (uint32_t v = 0; v < n; ++v) {
+    campaign.initial_opinions[v] = rng.Uniform();
+    campaign.stubbornness[v] = rng.Uniform(0.1, 0.9);
+    if (extremes && v % 4 == 0) campaign.stubbornness[v] = 0.0;
+    if (extremes && v % 4 == 1) campaign.stubbornness[v] = 1.0;
+  }
+  return campaign;
+}
+
+graph::Graph BuildOrDie(const graph::GraphBuilder& builder,
+                        graph::GraphBuilder::BuildOptions options = {}) {
+  options.normalize_incoming = true;
+  auto built = builder.Build(options);
+  EXPECT_TRUE(built.ok()) << built.status().ToString();
+  return std::move(built).value();
+}
+
+TEST(FJModelTest, ScheduledPropagationMatchesFullSweep) {
+  // A chain longer than the horizon: row i settles at step i, so the
+  // horizons around the tail's settle step (38, 39, 40) and below it (30)
+  // both occur. No d is 0 or 1, so row i keeps changing until step i.
+  {
+    graph::GraphBuilder builder(40);
+    for (graph::NodeId v = 0; v + 1 < 40; ++v) builder.AddEdge(v, v + 1, 1.0);
+    const graph::Graph g = BuildOrDie(builder);
+    ExpectScheduleMatchesFullSweep(
+        g, VariedCampaign(40, 1, /*extremes=*/false),
+        {{}, {0}, {5}, {39}, {7, 7}, {0, 20, 38}}, 42, "chain");
+    ExpectScheduleMatchesFullSweep(g, VariedCampaign(40, 5), {{}, {3}}, 42,
+                                   "chain with d = 0 and d = 1 rows");
+  }
+  // A DAG feeding a cycle, with a row downstream of the cycle and an
+  // unmerged parallel edge: sources 0 and 1; DAG rows 2 (settles at 1) and
+  // 3 (settles at 2); cycle 4 -> 5 -> 6 -> 4 fed by 3; 7 and 8 downstream.
+  {
+    graph::GraphBuilder builder(9);
+    builder.AddEdge(0, 2, 1.0);
+    builder.AddEdge(1, 2, 2.0);
+    builder.AddEdge(2, 3, 1.0);
+    builder.AddEdge(2, 3, 0.5);
+    builder.AddEdge(3, 4, 1.0);
+    builder.AddEdge(4, 5, 1.0);
+    builder.AddEdge(5, 6, 1.0);
+    builder.AddEdge(6, 4, 1.0);
+    builder.AddEdge(6, 7, 1.0);
+    builder.AddEdge(0, 7, 1.0);
+    builder.AddEdge(7, 8, 1.0);
+    graph::GraphBuilder::BuildOptions options;
+    options.merge_parallel_edges = false;
+    const graph::Graph g = BuildOrDie(builder, options);
+    ASSERT_EQ(g.InDegree(3), 2u);
+    ExpectScheduleMatchesFullSweep(
+        g, VariedCampaign(9, 2),
+        {{}, {0}, {1}, {2}, {3}, {5}, {8}, {4, 4}, {0, 3, 6}}, 30,
+        "dag into cycle");
+  }
+  // A self-loop: row 1 reads itself, so it and row 2 never settle.
+  {
+    graph::GraphBuilder builder(4);
+    builder.AddEdge(0, 1, 1.0);
+    builder.AddEdge(1, 1, 1.0);
+    builder.AddEdge(1, 2, 1.0);
+    builder.AddEdge(0, 3, 1.0);
+    graph::GraphBuilder::BuildOptions options;
+    options.allow_self_loops = true;
+    const graph::Graph g = BuildOrDie(builder, options);
+    ASSERT_EQ(g.InDegree(1), 2u);
+    ExpectScheduleMatchesFullSweep(g, VariedCampaign(4, 3),
+                                   {{}, {1}, {3}, {1, 1}, {0, 2}}, 30,
+                                   "self-loop");
+  }
+  // An edgeless graph: every row keeps b0, seeds aside.
+  {
+    const graph::Graph g = BuildOrDie(graph::GraphBuilder(5));
+    ExpectScheduleMatchesFullSweep(g, VariedCampaign(5, 4),
+                                   {{}, {2}, {4, 4}}, 30, "edgeless");
+  }
+  // Seeded random instances: sparse ones are mostly DAG, denser ones mostly
+  // cyclic; a quarter of the rows are d = 0 and a quarter d = 1.
+  Rng rng(2026);
+  for (uint64_t round = 0; round < 300; ++round) {
+    const uint32_t n = 2 + static_cast<uint32_t>(rng.UniformInt(40));
+    const uint64_t m = rng.UniformInt(2 * n + 1);
+    auto inst = MakeRandomInstance(n, m, 1, 1000 + round);
+    Campaign campaign = inst.state.campaigns[0];
+    for (uint32_t v = 0; v < n; ++v) {
+      if (v % 4 == 0) campaign.stubbornness[v] = 0.0;
+      if (v % 4 == 1) campaign.stubbornness[v] = 1.0;
+    }
+    std::vector<graph::NodeId> seeds;
+    const uint64_t num_seeds = rng.UniformInt(4);
+    for (uint64_t i = 0; i < num_seeds; ++i) {
+      seeds.push_back(static_cast<graph::NodeId>(rng.UniformInt(n)));
+    }
+    if (!seeds.empty() && round % 3 == 0) seeds.push_back(seeds.front());
+    ExpectScheduleMatchesFullSweep(inst.graph, campaign, {{}, seeds}, 30,
+                                   "round " + std::to_string(round));
+    if (HasFatalFailure()) return;
+  }
+}
+
+TEST(FJModelTest, ConcurrentFirstPropagationsCompileOneSchedule) {
+  // The schedule compiles on the first propagation; four tasks released
+  // together race it on each freshly built shared model.
+  auto inst = MakeRandomInstance(3000, 3600, 1, 23);
+  const Campaign& campaign = inst.state.campaigns[0];
+  const std::vector<graph::NodeId> seeds = {3, 141, 592, 653};
+  const auto oracle = FullSweepTrajectory(inst.graph, campaign, seeds, 20);
+  ThreadPool pool(4);
+  for (int round = 0; round < 8; ++round) {
+    const FJModel model(inst.graph);
+    std::latch start(4);
+    std::vector<std::future<std::vector<double>>> results;
+    for (int task = 0; task < 4; ++task) {
+      results.push_back(pool.Submit([&] {
+        start.arrive_and_wait();
+        return model.PropagateWithSeeds(campaign, seeds, 20);
+      }));
+    }
+    for (auto& result : results) {
+      EXPECT_TRUE(SameBytes(result.get(), oracle[20])) << "round " << round;
+    }
   }
 }
 
