@@ -75,7 +75,8 @@ Engine::Engine(const EngineOptions& options)
       "to be constructed");
   m_sketch_resets_ = metrics_.GetCounter(
       "voteopt_sketch_resets_total", {},
-      "Working-sketch ResetValues rebuilds (one per RS selection)");
+      "Working-sketch resets, one per RS selection: a state's first is a "
+      "full ResetValues, later ones undo the previous selection's cuts");
   m_batch_size_ = metrics_.GetHistogram(
       "voteopt_batch_requests", {},
       "Requests per ExecuteBatch call (batch occupancy)",
@@ -176,7 +177,15 @@ const voting::ScoreEvaluator* Engine::EvaluatorFor(
 
 void Engine::ResetSketch(const DatasetEntry& entry, QueryState& state,
                          obs::Trace* trace) {
-  state.walks->ResetValues(entry.target_opinions());
+  // A state's values only ever derive from its entry's target opinions, so
+  // undoing the previous selection's cuts, O(walks cut), leaves the same
+  // bytes as the O(theta) reset the state's first selection runs.
+  if (state.walks_reset) {
+    state.walks->UndoTruncations();
+  } else {
+    state.walks->ResetValues(entry.target_opinions());
+    state.walks_reset = true;
+  }
   ++sketch_resets_;
   if (m_sketch_resets_ != nullptr) m_sketch_resets_->Increment();
   trace->AddWork("sketch_resets", 1);
@@ -222,9 +231,10 @@ Response Engine::Execute(const Request& request) {
     mx_->GetCounter("voteopt_queries_total",
                     {{"op", op},
                      {"method", baselines::MethodName(request.method)},
-                     {"rule", request.rule}},
+                     {"rule", RuleLabel(request.rule)}},
                     "Requests answered, labeled by the request's verb, "
-                    "method, and rule fields")
+                    "method, and rule fields (an unknown rule counts as "
+                    "invalid)")
         ->Increment();
     if (!response.ok) {
       mx_->GetCounter("voteopt_errors_total", {{"op", op}},
@@ -340,8 +350,8 @@ core::SelectionResult Engine::SelectSeeds(
         ->Increment();
   }
   if (method == baselines::Method::kRS) {
-    // RS answers from the hosted artifact: rebuild the working view's
-    // O(theta) dynamic state, then run the greedy loop on the frozen walks.
+    // RS answers from the hosted artifact: reset the working view's
+    // dynamic state, then run the greedy loop on the frozen walks.
     ResetSketch(entry, state, trace);
     return core::EstimatedGreedySelect(evaluator, k, state.walks.get(),
                                        SketchSelectionOptions(options));

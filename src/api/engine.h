@@ -21,9 +21,10 @@
 // which preserves exact serial semantics.
 //
 // Method dispatch: the RS method (the default) answers from the hosted
-// frozen sketch — selection is a zero-copy working view plus an O(theta)
-// ResetValues. The other eight roster methods (DM, RW, IC, LT, GED-T, PR,
-// RWR, DC) build their own substrate per query via
+// frozen sketch — selection is a zero-copy working view whose values are
+// reset in O(theta) once per state and, after that, restored by undoing
+// the previous selection's cuts. The other eight roster methods (DM, RW,
+// IC, LT, GED-T, PR, RWR, DC) build their own substrate per query via
 // baselines::SelectWithMethod; they are deterministic in
 // QueryOptions::methods.rng_seed but cost what the offline algorithm
 // costs. MethodCompare runs the whole roster on one instance; RuleSweep
@@ -181,7 +182,8 @@ class Engine {
   const voting::ScoreEvaluator* EvaluatorFor(const voting::ScoreSpec& spec,
                                              QueryState& state,
                                              obs::Trace* trace);
-  /// Rebuilds the leased working sketch's dynamic state for a selection.
+  /// Restores the leased working sketch's reset values for a selection:
+  /// ResetValues on the state's first, UndoTruncations on every later one.
   void ResetSketch(const DatasetEntry& entry, QueryState& state,
                    obs::Trace* trace);
 

@@ -65,6 +65,14 @@ Result<voting::ScoreSpec> ResolveRule(const std::string& rule, uint32_t p,
   return spec;
 }
 
+const char* RuleLabel(const std::string& rule) {
+  for (const char* known : {"cumulative", "plurality", "papproval",
+                            "p-approval", "positional", "copeland", "borda"}) {
+    if (rule == known) return known;
+  }
+  return "invalid";
+}
+
 void SpecToRuleFields(const voting::ScoreSpec& spec, Request* request) {
   request->p = spec.p;
   request->omega = spec.omega;

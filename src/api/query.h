@@ -202,6 +202,11 @@ inline Result<voting::ScoreSpec> ResolveRule(const Request& request,
   return ResolveRule(request.rule, request.p, request.omega, num_candidates);
 }
 
+/// The `rule` label of voteopt_queries_total: `rule` itself when it is a
+/// spelling ResolveRule knows, "invalid" otherwise, so client strings
+/// cannot mint label values.
+const char* RuleLabel(const std::string& rule);
+
 /// The wire spelling of a ScoreSpec's rule (the inverse of ResolveRule for
 /// the rule/p/omega triple; Borda-weight positionals render as
 /// "positional" with explicit omega).

@@ -5,7 +5,7 @@
 //  * a working WalkSet that aliases the frozen walk arrays (zero-copy,
 //    WalkSet::ShareFrozen) but owns its dynamic truncation state — the
 //    per-walk values / effective lengths / per-node sums that ResetValues
-//    rebuilds and Truncate consumes, and
+//    derives once, Truncate consumes and UndoTruncations restores — and
 //  * the per-voting-rule ScoreEvaluator LRU (each evaluator caches the
 //    competitors' propagated horizon opinions — the expensive part of its
 //    construction).
@@ -57,6 +57,9 @@ struct QueryState {
   std::shared_ptr<const DatasetEntry> entry;
   /// Shares the entry's frozen walk data; owns the dynamic state.
   std::unique_ptr<core::WalkSet> walks;
+  /// True once `walks` holds the entry's reset values: later selections
+  /// undo their predecessor's cuts instead of resetting again.
+  bool walks_reset = false;
   /// shared_ptr values: evaluators are immutable after construction, so
   /// the entry's build evaluator can sit in every worker's LRU at once.
   LruCache<std::shared_ptr<const voting::ScoreEvaluator>> evaluators;

@@ -82,7 +82,8 @@ struct CopelandTallies {
 /// Marginal gain of candidate w under the cumulative score: one pass over
 /// w's postings (paper § V-B) — raising a live walk's value to 1 adds
 /// weight_start / lambda_start * (1 - value). The lazy and exhaustive paths
-/// share this helper, so their gains are computed by identical arithmetic.
+/// share this helper, and CumulativeGains sums the same terms in the same
+/// order, so their gains are computed by identical arithmetic.
 double CumulativeGain(const WalkSet& walks, graph::NodeId w) {
   double gain = 0.0;
   for (const WalkSet::Posting& posting : walks.PostingsOf(w)) {
@@ -173,6 +174,46 @@ struct BestGain {
 
 }  // namespace
 
+void CumulativeGains(const WalkSet& walks, std::vector<double>* gains) {
+  const uint32_t n = walks.num_nodes();
+  // Walk starts are random, so a node's quotient and gain share one slot:
+  // a one-node walk, the common case, touches one cache line.
+  struct Slot {
+    double quotient = 0.0;  // weight_s / lambda_s
+    double gain = 0.0;
+  };
+  std::vector<Slot> slots(n);
+  for (graph::NodeId s = 0; s < n; ++s) {
+    if (walks.Lambda(s) == 0) continue;
+    slots[s].quotient =
+        walks.StartWeight(s) / static_cast<double>(walks.Lambda(s));
+  }
+  // `last_seen[v]` stamps the walk that last added to v, as BuildIndex
+  // stamps the walk that last recorded a posting of v.
+  constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+  std::vector<uint32_t> last_seen(n, kNone);
+  const WalkSet::Frozen& frozen = walks.frozen();
+  const auto num_walks = static_cast<uint32_t>(walks.num_walks());
+  for (uint32_t walk = 0; walk < num_walks; ++walk) {
+    Slot& start = slots[frozen.starts[walk]];
+    const double term = start.quotient * (1.0 - walks.Value(walk));
+    const uint32_t len = walks.EffectiveLen(walk);
+    if (len == 1) {  // the start is the walk's only node
+      start.gain += term;
+      continue;
+    }
+    const graph::NodeId* nodes = frozen.nodes.data() + frozen.offsets[walk];
+    for (uint32_t pos = 0; pos < len; ++pos) {
+      const graph::NodeId v = nodes[pos];
+      if (last_seen[v] == walk) continue;  // not v's first occurrence
+      last_seen[v] = walk;
+      slots[v].gain += term;
+    }
+  }
+  gains->resize(n);
+  for (graph::NodeId v = 0; v < n; ++v) (*gains)[v] = slots[v].gain;
+}
+
 SelectionResult EstimatedGreedySelect(const ScoreEvaluator& evaluator,
                                       uint32_t k, WalkSet* walks,
                                       const EstimatedGreedyOptions& options) {
@@ -193,16 +234,18 @@ SelectionResult EstimatedGreedySelect(const ScoreEvaluator& evaluator,
                                          : options.num_threads;
   const uint32_t scan_chunks =
       std::min<uint32_t>(std::max<uint32_t>(requested_threads, 1), n);
-  std::unique_ptr<ThreadPool> pool;
-  if (scan_chunks > 1) pool = std::make_unique<ThreadPool>(scan_chunks);
+  std::unique_ptr<ThreadPool> pool;  // built by the first chunked scan
 
-  /// Runs fn(w) for every non-seed candidate, chunked over the pool when one
-  /// exists; chunk c is the contiguous id range [c*per, (c+1)*per). Returns
-  /// the canonical best over all candidates: chunk-local bests follow the
-  /// (gain, node id) ordering and chunks are visited in id order, so the
-  /// reduction is independent of the thread count.
+  /// Runs fn(w) for every non-seed candidate, chunked over the pool when
+  /// scan_chunks > 1; chunk c is the contiguous id range [c*per, (c+1)*per).
+  /// Returns the canonical best over all candidates: chunk-local bests
+  /// follow the (gain, node id) ordering and chunks are visited in id
+  /// order, so the reduction is independent of the thread count.
   const auto parallel_best = [&](auto&& gain_of) {
     BestGain best;
+    if (scan_chunks > 1 && !pool) {
+      pool = std::make_unique<ThreadPool>(scan_chunks);
+    }
     if (!pool) {
       for (graph::NodeId w = 0; w < n; ++w) {
         if (is_seed[w]) continue;
@@ -267,27 +310,11 @@ SelectionResult EstimatedGreedySelect(const ScoreEvaluator& evaluator,
     const auto below = [](const Entry& a, const Entry& b) {
       return a.gain < b.gain || (a.gain == b.gain && a.node > b.node);
     };
-    // Round 0 evaluates every candidate once (the exhaustive first scan),
-    // chunked over the pool when one exists.
+    // Round 0 evaluates every candidate once, in one walk-ordered pass.
+    std::vector<double> gains;
+    CumulativeGains(*walks, &gains);
     std::vector<Entry> entries(n);
-    const auto init_chunk = [&](graph::NodeId begin, graph::NodeId end) {
-      for (graph::NodeId w = begin; w < end; ++w) {
-        entries[w] = Entry{CumulativeGain(*walks, w), w, 0};
-      }
-    };
-    if (pool) {
-      const uint32_t per = (n + scan_chunks - 1) / scan_chunks;
-      std::vector<std::future<void>> futures;
-      futures.reserve(scan_chunks);
-      for (uint32_t c = 0; c < scan_chunks; ++c) {
-        futures.push_back(pool->Submit([&, c] {
-          init_chunk(c * per, std::min<graph::NodeId>((c + 1) * per, n));
-        }));
-      }
-      for (auto& future : futures) future.get();
-    } else {
-      init_chunk(0, n);
-    }
+    for (graph::NodeId w = 0; w < n; ++w) entries[w] = Entry{gains[w], w, 0};
     gain_evaluations += n;
     std::priority_queue<Entry, std::vector<Entry>, decltype(below)> heap(
         below, std::move(entries));

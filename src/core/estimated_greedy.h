@@ -18,7 +18,8 @@
 //    stale upper bounds, re-evaluating only the heap top until it is fresh.
 //    Ties break on (gain, node id), which makes the selected sequence
 //    bit-identical to the exhaustive one-scan-per-iteration path (kept
-//    behind `lazy = false` as the oracle/bench baseline).
+//    behind `lazy = false` as the oracle/bench baseline). Round 0 gets
+//    every candidate's gain from CumulativeGains, one walk-ordered pass.
 //  * Rank-sensitive scores and Copeland — gains are not submodular, so
 //    every iteration scans all candidates; the scan parallelizes over
 //    contiguous node-id chunks on a util::ThreadPool with per-chunk
@@ -32,6 +33,7 @@
 #define VOTEOPT_CORE_ESTIMATED_GREEDY_H_
 
 #include <functional>
+#include <vector>
 
 #include "core/problem.h"
 #include "core/walk_set.h"
@@ -59,11 +61,21 @@ struct EstimatedGreedyOptions {
   /// the rank-sensitive / Copeland paths, which are not submodular.
   bool lazy = true;
   /// Worker threads for the per-iteration gain scan of the rank-sensitive /
-  /// Copeland paths (1 = serial, 0 = one per hardware thread). The chunked
-  /// scan and its (gain, node id) reduction are deterministic: every value
-  /// returns the same seeds. Also parallelizes the CELF initial scan.
+  /// Copeland paths and the exhaustive cumulative scan (1 = serial, 0 = one
+  /// per hardware thread). The chunked scan and its (gain, node id)
+  /// reduction are deterministic: every value returns the same seeds.
   uint32_t num_threads = 1;
 };
+
+/// Every node's cumulative marginal gain under the current truncation
+/// state, in one pass over the walks (paper § V-B): each walk adds its term
+/// (weight_s / lambda_s) * (1 - value), with the quotient divided once per
+/// start s, to each node at that node's first occurrence inside the walk's
+/// effective length. A node's postings are exactly those first occurrences,
+/// in ascending walk order, so every gain sums the same terms in the same
+/// order as a scan of its postings and is bit-identical to it. Resizes
+/// `gains` to num_nodes.
+void CumulativeGains(const WalkSet& walks, std::vector<double>* gains);
 
 /// Runs k greedy iterations on `walks` (which must be finalized and is
 /// consumed: its truncation state reflects the selected seeds afterwards).

@@ -26,7 +26,8 @@ WalkSet::WalkSet(const WalkSet& other)
       keep_alive_(other.keep_alive_),
       eff_len_(other.eff_len_),
       values_(other.values_),
-      est_sum_(other.est_sum_) {
+      est_sum_(other.est_sum_),
+      cuts_(other.cuts_) {
   if (adopted_) {
     frozen_ = other.frozen_;  // shared immutable storage, pinned above
   } else if (finalized_) {
@@ -295,6 +296,7 @@ void WalkSet::ResetValues(const std::vector<double>& initial_opinions) {
   values_.resize(walks);
   eff_len_.resize(walks);
   est_sum_.assign(num_nodes_, 0.0);
+  cuts_.clear();
   for (size_t w = 0; w < walks; ++w) {
     const uint64_t begin = frozen_.offsets[w];
     const uint64_t end = frozen_.offsets[w + 1];
@@ -318,22 +320,37 @@ size_t WalkSet::memory_bytes() const {
          f.starts.size_bytes() + f.lambda.size_bytes() +
          f.start_weight.size_bytes() + f.index_offsets.size_bytes() +
          f.index_entries.size_bytes() + eff_len_.size() * sizeof(uint32_t) +
-         values_.size() * sizeof(double) + est_sum_.size() * sizeof(double);
+         values_.size() * sizeof(double) + est_sum_.size() * sizeof(double) +
+         cuts_.size() * sizeof(Cut);
 }
 
 void WalkSet::Truncate(
     graph::NodeId w, const std::function<void(uint32_t, double)>& on_change) {
   assert(finalized_);
   for (const Posting& posting : PostingsOf(w)) {
-    if (posting.pos >= eff_len_[posting.walk]) continue;  // already cut
-    const double old_value = values_[posting.walk];
-    eff_len_[posting.walk] = posting.pos + 1;
+    const uint32_t walk = posting.walk;
+    const uint32_t eff_len = eff_len_[walk];
+    if (posting.pos >= eff_len) continue;  // already cut
+    const double old_value = values_[walk];
+    const graph::NodeId start = frozen_.starts[walk];
+    cuts_.push_back({walk, eff_len, old_value, est_sum_[start]});
+    eff_len_[walk] = posting.pos + 1;
     if (old_value < 1.0) {
-      values_[posting.walk] = 1.0;
-      est_sum_[frozen_.starts[posting.walk]] += 1.0 - old_value;
-      on_change(posting.walk, old_value);
+      values_[walk] = 1.0;
+      est_sum_[start] += 1.0 - old_value;
+      on_change(walk, old_value);
     }
   }
+}
+
+void WalkSet::UndoTruncations() {
+  // Backwards: a walk or start cut twice gets its oldest saved bytes last.
+  for (auto cut = cuts_.rbegin(); cut != cuts_.rend(); ++cut) {
+    eff_len_[cut->walk] = cut->eff_len;
+    values_[cut->walk] = cut->value;
+    est_sum_[frozen_.starts[cut->walk]] = cut->est_sum;
+  }
+  cuts_.clear();
 }
 
 }  // namespace voteopt::core

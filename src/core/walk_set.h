@@ -19,9 +19,14 @@
 //    copying.
 //  * DYNAMIC state — per-walk values / effective lengths and per-node
 //    estimate sums under the current seed set. Always owned, mutated by
-//    Truncate, and rebuildable in O(total walk nodes) with ResetValues so
-//    one frozen sketch can serve many queries. Adopted and spliced sets
-//    are frozen-only: they have no dynamic state until ResetValues.
+//    Truncate, and rebuildable in O(num walks) with ResetValues so one
+//    frozen sketch can serve many queries. Adopted and spliced sets are
+//    frozen-only: they have no dynamic state until ResetValues.
+//  * UNDO LOG — Truncate records each cut walk's prior effective length,
+//    value and start-node sum before changing them, so UndoTruncations
+//    restores the bytes of the last ResetValues in O(walks cut) instead
+//    of O(num walks). Every reset or undo clears the log, so it holds at
+//    most one selection's cuts: one entry per posting a seed cut.
 //
 // Threading contract (docs/ARCHITECTURE.md): the frozen layer is immutable
 // after Finalize/Splice/AdoptFrozen and safe to read from any number of
@@ -137,10 +142,17 @@ class WalkSet {
 
   /// (Re-)derives the dynamic state from `initial_opinions`, undoing every
   /// truncation in one O(num_walks) pass — far cheaper than regenerating
-  /// walks or rebuilding the index. Requires Finalize, Splice or
-  /// AdoptFrozen; this is how a persisted sketch is reused across queries
-  /// (and across updated campaign opinions).
+  /// walks or rebuilding the index — and clears the undo log. Requires
+  /// Finalize, Splice or AdoptFrozen; this is how a persisted sketch is
+  /// reused across queries (and across updated campaign opinions).
   void ResetValues(const std::vector<double>& initial_opinions);
+
+  /// Undoes every Truncate since the last ResetValues or UndoTruncations
+  /// by replaying the undo log backwards, in O(walks cut): every value,
+  /// effective length and estimate sum gets back the exact bytes that
+  /// ResetValues left. Clears the log. Requires the dynamic state, i.e.
+  /// one ResetValues (or Finalize) before.
+  void UndoTruncations();
 
   // --- static shape -------------------------------------------------------
   uint32_t num_nodes() const { return num_nodes_; }
@@ -191,7 +203,8 @@ class WalkSet {
 
   /// Makes w a seed: truncates every walk containing w at w's first
   /// occurrence and sets its value to 1. `on_change(walk, old_value)` is
-  /// invoked for every walk whose value changed (old_value < 1).
+  /// invoked for every walk whose value changed (old_value < 1). Each cut
+  /// is recorded in the undo log first.
   void Truncate(graph::NodeId w,
                 const std::function<void(uint32_t, double)>& on_change);
 
@@ -218,10 +231,19 @@ class WalkSet {
 
   Frozen frozen_;  // views over the owned vectors or adopted storage
 
+  /// One undo-log entry: a walk's dynamic state before a cut.
+  struct Cut {
+    uint32_t walk;
+    uint32_t eff_len;
+    double value;
+    double est_sum;  // est_sum_ of the walk's start node
+  };
+
   // Dynamic state (always owned, rebuilt by ResetValues).
   std::vector<uint32_t> eff_len_;  // per-walk effective length
   std::vector<double> values_;     // per-walk current Y value
   std::vector<double> est_sum_;    // per-node sum of walk values
+  std::vector<Cut> cuts_;          // undo log, oldest cut first
 };
 
 }  // namespace voteopt::core

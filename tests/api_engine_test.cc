@@ -1,4 +1,4 @@
-// The unified typed query API, pinned four ways:
+// The unified typed query API, pinned five ways:
 //  * engine equivalence — ExecuteBatch answers TopK / MinSeed / Evaluate
 //    byte-identically to one-at-a-time Execute across worker thread
 //    counts 1/2/4, and TopK equals the direct core selection path;
@@ -7,13 +7,16 @@
 //  * the new MethodCompare / RuleSweep scenarios return one scored entry
 //    per method (paper plotting order) resp. per voting rule;
 //  * QueryOptions toggles (lazy, single_pass, evaluate_exact) and the
-//    rule/version validation behave as documented.
+//    rule/version validation behave as documented;
+//  * a reused worker state answers like a fresh engine, and unknown rule
+//    strings share one metric series.
 #include "api/engine.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <limits>
+#include <map>
 #include <string>
 
 #include "core/estimated_greedy.h"
@@ -251,6 +254,127 @@ TEST_F(ApiEngineTest, QueryOptionTogglesPreserveAnswers) {
   ASSERT_TRUE(estimated_only.ok);
   EXPECT_EQ(estimated_only.seeds, lazy.seeds);
   EXPECT_DOUBLE_EQ(estimated_only.exact_score, 0.0);
+}
+
+TEST_F(ApiEngineTest, ReusedStatesAnswerLikeFreshOnes) {
+  // A pooled state resets its values on its first RS selection and undoes
+  // its previous selection's cuts on every later one. Whatever a state
+  // answered before, its answer must equal a fresh engine's, and every RS
+  // selection still counts one sketch reset.
+  std::vector<Request> batch;
+  for (const voting::ScoreSpec& spec :
+       {voting::ScoreSpec::Cumulative(), voting::ScoreSpec::Plurality(),
+        voting::ScoreSpec::PApproval(2),
+        voting::ScoreSpec::PositionalPApproval({1.0, 0.4}),
+        voting::ScoreSpec::Copeland()}) {
+    batch.push_back(Request::TopK(6, spec));
+    batch.push_back(Request::Evaluate({1, 2, 3}, spec));
+  }
+  batch.push_back(Request::MinSeed(24, voting::ScoreSpec::Cumulative()));
+  {
+    Request searched = Request::MinSeed(24, voting::ScoreSpec::Cumulative());
+    searched.options.single_pass = false;
+    batch.push_back(searched);
+  }
+  batch.push_back(Request::RuleSweep(4));
+  {
+    Request compare =
+        Request::MethodCompare(5, voting::ScoreSpec::Cumulative());
+    compare.methods = {baselines::Method::kRS, baselines::Method::kDegree};
+    batch.push_back(compare);
+  }
+  for (size_t i = 0; i < batch.size(); ++i) {
+    batch[i].id = "r" + std::to_string(i);
+    batch[i].trace = true;  // reports work.sketch_resets
+  }
+
+  std::vector<std::string> expected;
+  for (const Request& request : batch) {
+    auto fresh = Engine::Open(Options(1));
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    const Response response = (*fresh)->Execute(request);
+    ASSERT_TRUE(response.ok) << request.id << ": " << response.error;
+    expected.push_back(response.ToStableJson());
+  }
+
+  auto engine = Engine::Open(Options(4));
+  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
+  double selections = 0;
+  for (int round = 0; round < 3; ++round) {
+    const std::vector<Response> responses = (*engine)->ExecuteBatch(batch);
+    ASSERT_EQ(responses.size(), batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const Response& response = responses[i];
+      EXPECT_EQ(response.ToStableJson(), expected[i])
+          << "request " << batch[i].id << " in round " << round;
+      // One reset per RS selection: a topk or a methodcompare with RS runs
+      // one, a rulesweep five, a minseed one per selector call.
+      double rs_selections = 0;
+      switch (batch[i].op) {
+        case Request::Op::kTopK:
+        case Request::Op::kMethodCompare:
+          rs_selections = 1;
+          break;
+        case Request::Op::kRuleSweep:
+          rs_selections = 5;
+          break;
+        case Request::Op::kMinSeed:
+          rs_selections = response.selector_calls;
+          break;
+        default:
+          break;
+      }
+      const auto resets = response.diagnostics.find("work.sketch_resets");
+      EXPECT_EQ(resets == response.diagnostics.end() ? 0.0 : resets->second,
+                rs_selections)
+          << "request " << batch[i].id;
+      selections += rs_selections;
+    }
+  }
+  const Engine::Stats stats = (*engine)->stats();
+  EXPECT_EQ(static_cast<double>(stats.sketch_resets), selections);
+  // At most one state per worker: most selections ran on a reused state.
+  EXPECT_LE(stats.worker_states, 4u);
+}
+
+TEST_F(ApiEngineTest, UnknownRulesShareOneSeries) {
+  // The rule label comes from a closed vocabulary: a known spelling keeps
+  // its label, and every unknown one counts under rule="invalid".
+  auto engine = Engine::Open(Options());
+  ASSERT_TRUE(engine.ok());
+  Request stats_request;
+  stats_request.op = Request::Op::kStats;
+  stats_request.v = 3;
+  const auto series = [&] {
+    const Response stats = (*engine)->Execute(stats_request);
+    EXPECT_TRUE(stats.ok) << stats.error;
+    std::map<std::string, double> queries;
+    for (const auto& [name, value] : stats.stats) {
+      if (name.rfind("voteopt_queries_total{", 0) == 0) queries[name] = value;
+    }
+    return queries;
+  };
+  ASSERT_TRUE((*engine)->Execute(
+      Request::TopK(3, voting::ScoreSpec::Cumulative())).ok);
+  series();  // registers the stats verb's own series
+  const std::map<std::string, double> before = series();
+  EXPECT_EQ(before.count(
+                R"(voteopt_queries_total{method="RS",op="topk",rule="cumulative"})"),
+            1u);
+
+  for (int i = 0; i < 2000; ++i) {
+    Request request = Request::TopK(3, voting::ScoreSpec::Cumulative());
+    request.rule = "no-such-rule-" + std::to_string(i);
+    const Response response = (*engine)->Execute(request);
+    EXPECT_FALSE(response.ok);
+    EXPECT_EQ(response.error.rfind("InvalidArgument", 0), 0u)
+        << response.error;
+  }
+  const std::map<std::string, double> after = series();
+  EXPECT_LE(after.size(), before.size() + 1);
+  EXPECT_EQ(after.at(
+                R"(voteopt_queries_total{method="RS",op="topk",rule="invalid"})"),
+            2000.0);
 }
 
 TEST_F(ApiEngineTest, ResolveRuleValidatesBordaAndEnumeratesRules) {

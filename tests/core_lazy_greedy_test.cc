@@ -5,6 +5,9 @@
 // deterministic (gain, node id) ordering keeps the paths aligned.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
 #include "core/estimated_greedy.h"
 #include "core/sketch.h"
 #include "core/walk_engine.h"
@@ -166,6 +169,81 @@ TEST(LazyGreedyTest, MatchesOnRSSketchWeights) {
                    exhaustive.diagnostics.at("estimated_score"));
   EXPECT_LT(lazy.diagnostics.at("gain_evaluations"),
             exhaustive.diagnostics.at("gain_evaluations"));
+}
+
+/// The per-candidate round-0 scan that CumulativeGains replaced, kept
+/// verbatim as its oracle: one pass over w's postings per candidate.
+double PerCandidateCumulativeGain(const WalkSet& walks, graph::NodeId w) {
+  double gain = 0.0;
+  for (const WalkSet::Posting& posting : walks.PostingsOf(w)) {
+    if (posting.pos >= walks.EffectiveLen(posting.walk)) continue;
+    const graph::NodeId start = walks.StartOf(posting.walk);
+    gain += walks.StartWeight(start) /
+            static_cast<double>(walks.Lambda(start)) *
+            (1.0 - walks.Value(posting.walk));
+  }
+  return gain;
+}
+
+TEST(LazyGreedyTest, WalkOrderedGainsMatchPerCandidateScan) {
+  // Horizons up to 20 and a self-loop make walks revisit nodes; every third
+  // row starts no walk (lambda = 0) but still sits inside other walks; odd
+  // rounds carry RS start weights; and 0-10 cuts leave walks shortened and
+  // at value 1. Every gain must equal the posting scan's bit for bit.
+  Rng rng(2609);
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto n = static_cast<uint32_t>(8 + rng.UniformInt(33));
+    auto inst = MakeRandomInstance(n, n * (2 + rng.UniformInt(4)), 2,
+                                   /*seed=*/5000 + round,
+                                   /*max_stubbornness=*/rng.Uniform());
+    graph::GraphBuilder builder(n);
+    for (graph::NodeId u = 0; u < n; ++u) {
+      const auto targets = inst.graph.OutNeighbors(u);
+      const auto weights = inst.graph.OutWeights(u);
+      for (size_t i = 0; i < targets.size(); ++i) {
+        builder.AddEdge(u, targets[i], weights[i]);
+      }
+    }
+    builder.AddEdge(1, 1, 1.0);
+    auto built = builder.Build(
+        {.normalize_incoming = true, .allow_self_loops = true});
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const graph::Graph& g = *built;
+
+    const opinion::Campaign& target = inst.state.campaigns[0];
+    graph::AliasSampler alias(g);
+    WalkEngine engine(g, target, alias);
+    const auto horizon = static_cast<uint32_t>(1 + rng.UniformInt(20));
+    WalkSet walks(n);
+    std::vector<graph::NodeId> scratch;
+    for (graph::NodeId v = 0; v < n; ++v) {
+      if (v % 3 == 0) continue;
+      const uint64_t lambda = 1 + rng.UniformInt(4);
+      for (uint64_t j = 0; j < lambda; ++j) {
+        engine.Generate(v, horizon, &rng, &scratch);
+        walks.AddWalk(scratch);
+      }
+    }
+    walks.AddWalk({1, 1, 2, 1});  // through the self-loop and back
+    walks.Finalize(target.initial_opinions);
+    if (round % 2 == 1) ApplySketchWeights(&walks, n, walks.num_walks());
+    const uint64_t cuts = rng.UniformInt(11);
+    for (uint64_t i = 0; i < cuts; ++i) {
+      walks.Truncate(static_cast<graph::NodeId>(rng.UniformInt(n)),
+                     [](uint32_t, double) {});
+    }
+
+    std::vector<double> expected(n);
+    for (graph::NodeId w = 0; w < n; ++w) {
+      expected[w] = PerCandidateCumulativeGain(walks, w);
+    }
+    std::vector<double> gains;
+    CumulativeGains(walks, &gains);
+    ASSERT_EQ(gains.size(), n);
+    ASSERT_EQ(std::memcmp(gains.data(), expected.data(), n * sizeof(double)),
+              0);
+  }
 }
 
 TEST(LazyGreedyTest, OnPrefixStopsSelectionEarly) {

@@ -299,6 +299,121 @@ TEST(WalkSetTest, SpliceMatchesFinalize) {
 }
 
 // ---------------------------------------------------------------------------
+// WalkSet::UndoTruncations: replaying the undo log backwards lands on the
+// bytes a fresh ResetValues derives, so a pooled query view can skip the
+// O(theta) reset after its first selection.
+// ---------------------------------------------------------------------------
+
+/// Every dynamic value a query reads.
+struct DynamicBytes {
+  std::vector<double> values;
+  std::vector<uint32_t> eff_len;
+  std::vector<double> estimates;
+};
+
+DynamicBytes ReadDynamic(const WalkSet& walks) {
+  DynamicBytes bytes;
+  for (uint32_t w = 0; w < walks.num_walks(); ++w) {
+    bytes.values.push_back(walks.Value(w));
+    bytes.eff_len.push_back(walks.EffectiveLen(w));
+  }
+  for (graph::NodeId v = 0; v < walks.num_nodes(); ++v) {
+    bytes.estimates.push_back(walks.EstimatedOpinion(v));
+  }
+  return bytes;
+}
+
+::testing::AssertionResult SameDynamic(const WalkSet& walks,
+                                       const DynamicBytes& want) {
+  const DynamicBytes got = ReadDynamic(walks);
+  if (!SameBytes<double>(got.values, want.values)) {
+    return ::testing::AssertionFailure()
+           << "values: " << SameBytes<double>(got.values, want.values)
+                                .message();
+  }
+  if (!SameBytes<uint32_t>(got.eff_len, want.eff_len)) {
+    return ::testing::AssertionFailure()
+           << "effective lengths: "
+           << SameBytes<uint32_t>(got.eff_len, want.eff_len).message();
+  }
+  if (!SameBytes<double>(got.estimates, want.estimates)) {
+    return ::testing::AssertionFailure()
+           << "estimates: "
+           << SameBytes<double>(got.estimates, want.estimates).message();
+  }
+  return ::testing::AssertionSuccess();
+}
+
+TEST(WalkSetTest, UndoTruncationsRestoresResetBytes) {
+  const auto no_op = [](uint32_t, double) {};
+  Rng rng(2026);
+  for (int round = 0; round < 300; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const auto n = static_cast<uint32_t>(4 + rng.UniformInt(12));
+    const uint64_t theta = 1 + rng.UniformInt(64);
+    // Walk 0 visits four distinct nodes: a cut at position 2 can be cut
+    // again at 1 and then at its start.
+    WalkList walks = {{0, 1, 2, 3}};
+    for (uint64_t j = 1; j < theta; ++j) {
+      std::vector<graph::NodeId> walk{
+          static_cast<graph::NodeId>(rng.UniformInt(n))};
+      const uint64_t extra = rng.UniformInt(8);
+      for (uint64_t i = 0; i < extra; ++i) {
+        walk.push_back(static_cast<graph::NodeId>(rng.UniformInt(n)));
+      }
+      walks.push_back(std::move(walk));
+    }
+    // A quarter of the nodes hold opinion 1: walks ending there start at
+    // value 1.
+    std::vector<double> opinions(n);
+    for (double& b : opinions) b = rng.Uniform() < 0.25 ? 1.0 : rng.Uniform();
+    std::shared_ptr<const WalkSet> owner = BuildWeighted(n, walks, opinions);
+
+    const auto fresh = owner->ShareFrozen(owner);
+    fresh->ResetValues(opinions);
+    const DynamicBytes reset = ReadDynamic(*fresh);
+    const size_t reset_bytes = fresh->memory_bytes();
+    fresh->UndoTruncations();  // right after a reset: nothing to undo
+    ASSERT_TRUE(SameDynamic(*fresh, reset)) << "undo after reset";
+
+    // Walk 0 at position 2; random seeds; one of them again; walk 0 again
+    // at position 1 and at its start.
+    std::vector<graph::NodeId> seeds = {2};
+    const uint64_t random_seeds = rng.UniformInt(8);
+    for (uint64_t i = 0; i < random_seeds; ++i) {
+      seeds.push_back(static_cast<graph::NodeId>(rng.UniformInt(n)));
+    }
+    seeds.push_back(seeds[rng.UniformInt(seeds.size())]);
+    seeds.push_back(1);
+    seeds.push_back(0);
+
+    const auto view = owner->ShareFrozen(owner);
+    view->ResetValues(opinions);
+    for (int selection = 0; selection < 2; ++selection) {
+      SCOPED_TRACE("selection " + std::to_string(selection));
+      std::unique_ptr<WalkSet> copy;
+      const uint64_t copy_at = rng.UniformInt(seeds.size() + 1);
+      for (size_t i = 0; i < seeds.size(); ++i) {
+        if (i == copy_at) copy = std::make_unique<WalkSet>(*view);
+        view->Truncate(seeds[i], no_op);
+      }
+      if (copy == nullptr) copy = std::make_unique<WalkSet>(*view);
+      EXPECT_GT(view->memory_bytes(), reset_bytes) << "the log is counted";
+      // The copy carries the cuts made before it and cuts on alone.
+      copy->Truncate(static_cast<graph::NodeId>(rng.UniformInt(n)), no_op);
+
+      view->UndoTruncations();
+      ASSERT_TRUE(SameDynamic(*view, reset)) << "undo";
+      EXPECT_EQ(view->memory_bytes(), reset_bytes);
+      copy->UndoTruncations();
+      ASSERT_TRUE(SameDynamic(*copy, reset)) << "copy taken mid-sequence";
+      view->UndoTruncations();  // twice in a row: nothing left to undo
+      ASSERT_TRUE(SameDynamic(*view, reset)) << "second undo";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Walk engine: unbiasedness (Thms. 8 and 9).
 // ---------------------------------------------------------------------------
 

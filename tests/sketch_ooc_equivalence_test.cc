@@ -93,7 +93,9 @@ TEST(SketchOocEquivalenceTest, BitIdenticalAcrossBlockAndThreadCounts) {
       ExpectBitIdentical(*reference, **ooc);
       EXPECT_EQ(stats.num_blocks, num_blocks);
       EXPECT_EQ(stats.waves, 3u);
-      if (num_blocks > 1) EXPECT_GT(stats.boundary_hops, 0u);
+      if (num_blocks > 1) {
+        EXPECT_GT(stats.boundary_hops, 0u);
+      }
     }
   }
 }

@@ -3,10 +3,8 @@
 // tools/fetch_snap_dataset.sh for the download half).
 //
 //   $ tools/fetch_snap_dataset.sh --download soc-LiveJournal1 /data
-//   $ voteopt_convert --edges=/data/soc-LiveJournal1.txt \
-//       --out=/data/lj --compact_ids
-//   $ voteopt_serve --bundle=/data/lj --theta=1048576 \
-//       --block_budget_bytes=268435456 --build_only
+//   $ voteopt_convert --edges=/data/soc-LiveJournal1.txt --out=/data/lj --compact_ids
+//   $ voteopt_serve --bundle=/data/lj --theta=1048576 --block_budget_bytes=268435456 --build_only
 //
 // The parser streams the file twice (degrees, then CSR fill), so peak
 // memory is the output CSR — never the text. The bundle's graph members
